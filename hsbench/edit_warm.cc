@@ -107,8 +107,9 @@ class EditRunner {
   /// Builds the analyzer for the base program and primes the cache;
   /// returns the set-up seconds, or -1 on failure.
   double Setup() {
-    const auto s0 = Clock::now();
     analyzer_.reset();  // before its cache goes away
+    cache_.reset();
+    const auto s0 = Clock::now();
     cache_ = std::make_unique<hornsafe::PipelineCache>();
     ModularSpec base = spec_;  // the edit stream may have moved spec_
     base.guards.assign(kModules, "");
@@ -354,12 +355,9 @@ void FillLayers(const Tracer& tr, const Tallies& t, double create_ms,
 Report EditWarm(const Context& ctx) {
   Report report;
   EditRunner runner(ctx.seed, &report);
-  std::vector<double> setup;
-  for (int rep = 0; rep < kSetupBefore; ++rep) {
-    double s = runner.Setup();
-    if (s < 0) return report;
-    setup.push_back(s);
-  }
+  SetupTimes setup;
+  auto setup_once = [&runner] { return runner.Setup(); };
+  if (!TimeSetupBlock(setup_once, &setup.before)) return report;
   report.info["jobs"] = "1";
   report.info["modules"] = std::to_string(kModules);
   report.info["ring"] = std::to_string(kRing);
@@ -373,7 +371,7 @@ Report EditWarm(const Context& ctx) {
     FillEndToEnd(phase, 95, 95, names, &report);
   } else {
     Phase untraced;
-    Tracer tracer(true);
+    Tracer tracer;
     Phase traced = runner.Measure(ctx.seconds, &tracer, &untraced);
     FillEndToEnd(untraced, 95, 95, names, &report);
     FillLayers(tracer, runner.tallies(), runner.mean_create_ms(), &report);
@@ -383,7 +381,7 @@ Report EditWarm(const Context& ctx) {
   }
   report.info["input_digest"] = runner.InputDigest(ctx.seed);
   report.info["warm_cold_spot_checks"] = std::to_string(runner.spot_checks());
-  for (int rep = 0; rep < kSetupAfter; ++rep) setup.push_back(runner.Setup());
+  TimeSetupBlock(setup_once, &setup.after);
   FillSetup(setup, &report);
   return report;
 }

@@ -73,24 +73,34 @@ class FleetRunner {
         root_(ctx.work_dir + "/fleet"),
         procs_(std::min(4, ctx.nproc)) {}
 
-  /// Materializes the corpus on disk and opens (and recovers) a fresh
-  /// cache directory. Seconds, or -1.
+  /// Opens and recovers the cache directory of a finished cold pass
+  /// (manifest check, per-shard lease and tmp-file recovery): what a
+  /// fleet worker pays before its first lookup. Seconds, or -1. The
+  /// first call writes the corpus and fills that directory with one
+  /// untimed cold pass. Reopening a healthy directory writes nothing,
+  /// so repeated set-ups leave no files behind and do not wait on the
+  /// disk.
   double Setup() {
-    Discard(root_ + "/corpus");
-    const std::string dir = root_ + "/cache-setup-" + std::to_string(++iter_);
+    const std::string dir = root_ + "/cache-setup";
+    if (!primed_) {
+      for (const FleetProgram& p : corpus_.programs) {
+        if (!WriteProgram(p, "")) return -1;
+      }
+      hornsafe::FleetOptions opts = Options(dir);
+      auto fleet = hornsafe::RunFleet(opts);
+      Discard(opts.scratch_dir);
+      if (!fleet.ok() || fleet->programs.size() != corpus_.programs.size()) {
+        report_->Fail("set-up cold pass failed");
+        return -1;
+      }
+      primed_ = true;
+    }
     const auto s0 = Clock::now();
-    for (const FleetProgram& p : corpus_.programs) {
-      if (!WriteProgram(p, "")) return -1;
-    }
-    {
-      hornsafe::PipelineCache::Options opts;
-      opts.dir = dir;
-      hornsafe::PipelineCache cache(opts);
-      (void)cache.stats();
-    }
-    const double s = SecondsSince(s0);
-    Discard(dir);
-    return s;
+    hornsafe::PipelineCache::Options opts;
+    opts.dir = dir;
+    hornsafe::PipelineCache cache(opts);
+    (void)cache.stats();
+    return SecondsSince(s0);
   }
 
   /// Runs kIterations iterations paced evenly over `seconds`. Every
@@ -137,16 +147,28 @@ class FleetRunner {
   }
 
  private:
-  /// Moves a used directory aside; the work directory is deleted once,
-  /// at the end of the run. Deleting thousands of cache files between
-  /// passes loaded the file system's journal during the next pass and
-  /// made cold-pass timings depend on the previous pass.
+  /// Moves a used directory aside into the work directory's trash, which
+  /// is deleted with the whole work directory by a later run.py (see
+  /// prune_work there). Deleting thousands of cache files between passes
+  /// kept the disk busy during the next pass and made cold-pass timings
+  /// depend on the previous pass.
   void Discard(const std::string& path) {
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) return;
     MakeDirs(root_ + "/trash");
     std::filesystem::rename(
         path, root_ + "/trash/" + std::to_string(++discarded_), ec);
+  }
+
+  hornsafe::FleetOptions Options(const std::string& cache_dir) const {
+    hornsafe::FleetOptions opts;
+    opts.corpus_dir = root_ + "/corpus";
+    opts.cache_dir = cache_dir;
+    opts.procs = procs_;
+    opts.jobs = 1;
+    opts.worker_exe = ctx_.hornsafe_exe;
+    opts.scratch_dir = root_ + "/scratch";
+    return opts;
   }
 
   bool WriteProgram(const FleetProgram& p, const std::string& guard) {
@@ -168,13 +190,7 @@ class FleetRunner {
     }
     edited_.clear();
 
-    hornsafe::FleetOptions opts;
-    opts.corpus_dir = root_ + "/corpus";
-    opts.cache_dir = dir;
-    opts.procs = procs_;
-    opts.jobs = 1;
-    opts.worker_exe = ctx_.hornsafe_exe;
-    opts.scratch_dir = root_ + "/scratch";
+    hornsafe::FleetOptions opts = Options(dir);
     Discard(opts.scratch_dir);
 
     hornsafe::Result<hornsafe::FleetReport> cold = Pass(
@@ -275,6 +291,7 @@ class FleetRunner {
   const int procs_;
   uint64_t iter_ = 0;
   uint64_t discarded_ = 0;
+  bool primed_ = false;
   std::vector<int> edited_;
   double last_cold_rate_ = 0, last_warm_rate_ = 0;
   Tallies t_;
@@ -308,12 +325,9 @@ Report FleetCorpusWorkload(const Context& ctx) {
     return report;
   }
   FleetRunner runner(ctx, &report);
-  std::vector<double> setup;
-  for (int rep = 0; rep < kSetupBefore; ++rep) {
-    double s = runner.Setup();
-    if (s < 0) return report;
-    setup.push_back(s);
-  }
+  SetupTimes setup;
+  auto setup_once = [&runner] { return runner.Setup(); };
+  if (!TimeSetupBlock(setup_once, &setup.before)) return report;
   report.info["jobs"] = "1";
   report.info["procs"] = std::to_string(runner.procs());
   report.info["corpus_programs"] = std::to_string(kPrograms);
@@ -326,7 +340,7 @@ Report FleetCorpusWorkload(const Context& ctx) {
     FillEndToEnd(phase, 95, 99, names, &report);
   } else {
     Phase untraced;
-    Tracer tracer(true);
+    Tracer tracer;
     Phase traced = runner.Measure(ctx.seconds, &tracer, &untraced);
     FillEndToEnd(untraced, 95, 99, names, &report);
     FillLayers(runner.tallies(), &report);
@@ -336,12 +350,11 @@ Report FleetCorpusWorkload(const Context& ctx) {
   }
   // Workers run concurrently: count each one at the largest child peak.
   report.children_rss_mb = ChildrenPeakRssMb() * runner.procs();
-  for (int rep = 0; rep < kSetupAfter; ++rep) setup.push_back(runner.Setup());
+  TimeSetupBlock(setup_once, &setup.after);
   FillSetup(setup, &report);
   // The work directory (corpus, used cache and scratch directories) is
-  // left in place: deleting its thousands of files made the next runs
-  // slower while the disk worked off the deletions (see README.md).
-  // The files live under the build directory, which a clean removes.
+  // left in place: deleting its thousands of files slowed the runs that
+  // followed. run.py caps how many are kept (see README.md).
   return report;
 }
 

@@ -71,7 +71,7 @@ const std::vector<MetricDef>& LayerMetrics() {
       {"subset.searches", "count"},
       {"subset.steps", "count"},
       {"subset.memo_hit_rate", "share"},
-      {"subset.scc_short_circuit_share", "share"},
+      {"subset.scc_short_circuit_share", "1/search"},
       {"mono.escapes", "count"},
       {"analyzer.create_ms", "ms"},
       {"analyzer.update_ms", "ms"},
@@ -131,7 +131,6 @@ int main(int argc, char** argv) {
   using namespace hsbench;
   using hornsafe::Json;
   std::string workload, git_sha = "unknown", source_digest = "unknown";
-  std::string results_dir;
   Context ctx;
   for (int i = 1; i + 1 < argc; i += 2) {
     std::string flag = argv[i], value = argv[i + 1];
@@ -148,7 +147,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--work-dir") {
       ctx.work_dir = value;
     } else if (flag == "--results-dir") {
-      results_dir = value;
+      ctx.results_dir = value;
     } else if (flag == "--hornsafe") {
       ctx.hornsafe_exe = value;
     } else if (flag == "--git-sha") {
@@ -160,14 +159,14 @@ int main(int argc, char** argv) {
     }
   }
   if (ctx.seconds <= 0) return Usage("--seconds must be positive");
-  if (ctx.data_dir.empty() || ctx.work_dir.empty()) {
-    return Usage("--data-dir and --work-dir are required");
+  if (ctx.data_dir.empty() || ctx.work_dir.empty() ||
+      ctx.results_dir.empty()) {
+    return Usage("--data-dir, --work-dir and --results-dir are required");
   }
   long cpus = sysconf(_SC_NPROCESSORS_ONLN);
   ctx.nproc = cpus > 0 ? static_cast<int>(cpus) : 1;
   if (!MakeDirs(ctx.work_dir)) return Usage("cannot create --work-dir");
-  ctx.results_dir = results_dir.empty() ? ctx.work_dir : results_dir;
-  MakeDirs(ctx.results_dir);
+  if (!MakeDirs(ctx.results_dir)) return Usage("cannot create --results-dir");
 
   const std::map<std::string, std::function<Report(const Context&)>> table =
       {{"run_cold", RunCold},

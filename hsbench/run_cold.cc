@@ -79,37 +79,43 @@ class ColdRunner {
   /// of five times `seconds`.
   /// With a tracer, alternate programs are traced and the others are
   /// measured untraced into `untraced`; the pattern flips every pass, so
-  /// every program is seen both ways.
+  /// every program is seen both ways. A traced run makes at least two
+  /// passes and fails unless every program was traced.
   Phase Measure(double seconds, Tracer* tracer, Report* report,
                 Phase* untraced = nullptr) {
     Phase phase;
-    uint64_t programs = 0, evals = 0;
+    uint64_t evals = 0;
+    std::vector<bool> traced(corpus_.size(), false);
     const auto start = Clock::now();
+    uint64_t pass = 0;
     auto more = [&] {
       double t = SecondsSince(start);
-      const Phase& timed = tracer != nullptr ? *untraced : phase;
+      if (tracer != nullptr) return t < seconds || pass < 2;
       bool short_of_samples =
-          timed.op.count() < kOpSamples || timed.aux.count() < kAuxSamples;
-      return t < seconds ||
-             (tracer == nullptr && short_of_samples && t < 5 * seconds);
+          phase.op.count() < kOpSamples || phase.aux.count() < kAuxSamples;
+      return t < seconds || (short_of_samples && t < 5 * seconds);
     };
     // Rates are per corpus pass, median over passes: a burst of host
     // noise slows one pass, not the reported rate.
     std::vector<double> pass_seconds;
-    uint64_t pass = 0;
     do {
       ++pass;
       const auto p0 = Clock::now();
-      for (const CorpusProgram& p : corpus_) {
-        if (tracer != nullptr && (programs + pass) % 2 == 0) {
-          RunOne(p, nullptr, untraced, &evals, report);
+      for (size_t i = 0; i < corpus_.size(); ++i) {
+        if (tracer != nullptr && (i + pass) % 2 == 0) {
+          RunOne(corpus_[i], nullptr, untraced, &evals, report);
         } else {
-          RunOne(p, tracer, &phase, &evals, report);
+          RunOne(corpus_[i], tracer, &phase, &evals, report);
+          traced[i] = true;
         }
-        ++programs;
       }
       pass_seconds.push_back(SecondsSince(p0));
     } while (more());
+    if (tracer != nullptr) {
+      for (size_t i = 0; i < corpus_.size(); ++i) {
+        if (!traced[i]) report->Fail(corpus_[i].name + ": never traced");
+      }
+    }
     const double per_pass = MedianOf(pass_seconds);
     phase.op_per_s = corpus_.size() / per_pass;
     phase.aux_per_s = static_cast<double>(evals) / pass / per_pass;
@@ -388,29 +394,26 @@ void FillLayers(const Tracer& tr, const Tallies& t, Report* report) {
 Report RunCold(const Context& ctx) {
   Report report;
   // Set-up: generate the seeded corpus and parse every program once.
-  std::vector<double> setup;
+  SetupTimes setup;
   std::vector<CorpusProgram> corpus;
-  auto prepare = [&] {
+  auto prepare = [&]() -> double {
     const auto s0 = Clock::now();
     std::string error;
     corpus = ColdCorpus(ctx.seed, ctx.data_dir + "/programs", &error);
     if (corpus.empty()) {
       report.Fail(error);
-      return false;
+      return -1;
     }
     for (const CorpusProgram& p : corpus) {
       auto parsed = Load(p.text);
       if (!parsed.ok()) {
         report.Fail(p.name + ": " + parsed.status().ToString());
-        return false;
+        return -1;
       }
     }
-    setup.push_back(SecondsSince(s0));
-    return true;
+    return SecondsSince(s0);
   };
-  for (int rep = 0; rep < kSetupBefore; ++rep) {
-    if (!prepare()) return report;
-  }
+  if (!TimeSetupBlock(prepare, &setup.before)) return report;
   Digest digest;
   size_t eval_count = 0;
   for (const CorpusProgram& p : corpus) {
@@ -431,7 +434,7 @@ Report RunCold(const Context& ctx) {
     FillEndToEnd(phase, 99, 90, names, &report);
   } else {
     Phase untraced;
-    Tracer tracer(true);
+    Tracer tracer;
     Phase traced = runner.Measure(ctx.seconds, &tracer, &report, &untraced);
     FillEndToEnd(untraced, 99, 90, names, &report);
     FillLayers(tracer, runner.tallies(), &report);
@@ -439,7 +442,7 @@ Report RunCold(const Context& ctx) {
     tracer.Write(ctx.results_dir + "/trace-run_cold-seed" +
                  std::to_string(ctx.seed) + ".json");
   }
-  for (int rep = 0; rep < kSetupAfter; ++rep) prepare();
+  TimeSetupBlock(prepare, &setup.after);
   FillSetup(setup, &report);
   return report;
 }

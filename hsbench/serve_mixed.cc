@@ -13,9 +13,10 @@
 //         between runs
 //   op_per_s = all requests per second (rps)
 //
-// After the timed loop, the last updates are replayed and every query
-// is explained by the server and by a fresh cold analyzer (untimed):
-// verdicts, stop reasons, steps and explanations must be identical.
+// After the timed loop, eight more edits from the stream are sent as
+// updates, and after each one every query is explained by the server and
+// by a fresh cold analyzer (untimed): verdicts, stop reasons, steps and
+// explanations must be identical.
 
 #include <atomic>
 #include <memory>
@@ -41,6 +42,7 @@ constexpr int kDiamonds = 8;
 constexpr int kRing = 4;
 constexpr int kChains = 2;
 constexpr uint64_t kStreamSalt = 0x7365727665ULL;
+constexpr int kSpotChecks = 8;
 
 enum class Kind { kCheck, kExplain, kLint, kEphemeral, kUpdate };
 
@@ -89,10 +91,12 @@ class ServeRunner {
   }
 
   /// Constructs the server, preloads the base program and primes the
-  /// verdict cache with one check of every query. Seconds, or -1.
+  /// verdict cache with one check of every query. Seconds, or -1; the
+  /// previous server is torn down before the clock starts.
   double Setup() {
-    const auto s0 = Clock::now();
     server_.reset();
+    cache_.reset();
+    const auto s0 = Clock::now();
     cache_ = std::make_unique<hornsafe::PipelineCache>();
     hornsafe::ServerOptions opts;
     opts.analyzer.jobs = 1;
@@ -184,10 +188,12 @@ class ServeRunner {
     return phase;
   }
 
-  /// Applies three more edits from the stream and compares the server's
-  /// explanations with a fresh cold analyzer's.
+  /// Applies kSpotChecks more edits from the stream and compares the
+  /// server's explanations with a fresh cold analyzer's. The server keeps
+  /// its analyzer private, so AndOrSystem::ToString cannot be compared
+  /// here (edit_warm compares it).
   void SpotCheck() {
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < kSpotChecks; ++i) {
       std::string text;
       {
         std::lock_guard<std::mutex> lock(edit_mu_);
@@ -449,12 +455,9 @@ Report ServeMixed(const Context& ctx) {
   Report report;
   ServeRunner runner(ctx, &report);
   if (report.failed > 0) return report;
-  std::vector<double> setup;
-  for (int rep = 0; rep < kSetupBefore; ++rep) {
-    double s = runner.Setup();
-    if (s < 0) return report;
-    setup.push_back(s);
-  }
+  SetupTimes setup;
+  auto setup_once = [&runner] { return runner.Setup(); };
+  if (!TimeSetupBlock(setup_once, &setup.before)) return report;
   report.info["jobs"] = "1";
   report.info["clients"] = std::to_string(kClients);
   report.info["input_digest"] = runner.InputDigest();
@@ -465,7 +468,7 @@ Report ServeMixed(const Context& ctx) {
     FillEndToEnd(phase, 99, 90, names, &report);
   } else {
     Phase untraced;
-    Tracer tracer(true);
+    Tracer tracer;
     Phase traced = runner.Measure(ctx.seconds, &tracer, &untraced);
     FillEndToEnd(untraced, 99, 90, names, &report);
     FillTraceOverhead(untraced, traced, tracer, &report);
@@ -475,7 +478,7 @@ Report ServeMixed(const Context& ctx) {
   report.aliases["request_us_p50"] = report.e2e["op_ms_p50"] * 1e3;
   report.aliases["request_us_p99"] = report.e2e["op_ms_tail"] * 1e3;
   runner.SpotCheck();
-  for (int rep = 0; rep < kSetupAfter; ++rep) setup.push_back(runner.Setup());
+  TimeSetupBlock(setup_once, &setup.after);
   FillSetup(setup, &report);
   return report;
 }

@@ -23,7 +23,7 @@ std::vector<OpenFrame>& Stack() {
 }  // namespace
 
 Tracer::Span::Span(Tracer* tracer, const char* name, uint64_t request) {
-  if (tracer == nullptr || !tracer->enabled()) return;
+  if (tracer == nullptr) return;
   tracer_ = tracer;
   tracer_->Begin(name, request);
 }
@@ -64,7 +64,6 @@ void Tracer::Finish() {
 }
 
 void Tracer::AttachChild(const char* name, uint64_t duration_ns) {
-  if (!enabled_) return;
   std::vector<OpenFrame>& stack = Stack();
   if (stack.empty()) return;
   OpenFrame& parent = stack.back();

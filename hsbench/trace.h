@@ -24,16 +24,13 @@ namespace hsbench {
 
 class Tracer {
  public:
-  /// A disabled tracer records nothing and costs one branch per span.
-  explicit Tracer(bool enabled) : enabled_(enabled), epoch_(Clock::now()) {}
+  Tracer() : epoch_(Clock::now()) {}
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  bool enabled() const { return enabled_; }
-
   /// RAII span on the calling thread; nests under the thread's open
-  /// span. `tracer` may be null (no-op).
+  /// span. `tracer` may be null: an untraced operation records nothing.
   class Span {
    public:
     Span(Tracer* tracer, const char* name, uint64_t request = 0);
@@ -82,7 +79,6 @@ class Tracer {
 
   static constexpr size_t kMaxRecords = 200000;
 
-  const bool enabled_;
   const Clock::time_point epoch_;
   mutable std::mutex mu_;
   std::map<std::string, Totals> totals_;

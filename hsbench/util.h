@@ -37,8 +37,6 @@ class SeededRng {
   uint64_t Next();
   /// Uniform in [0, n); n > 0.
   uint64_t Below(uint64_t n) { return Next() % n; }
-  /// True with probability num/den.
-  bool Chance(uint64_t num, uint64_t den) { return Below(den) < num; }
 
  private:
   uint64_t state_;

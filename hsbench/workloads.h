@@ -8,6 +8,7 @@
 // layers a workload bypasses report zero.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -72,15 +73,29 @@ void FillEndToEnd(const Phase& phase, double op_tail_want,
                   double aux_tail_want, const AliasNames& names,
                   Report* report);
 
-/// Set-up is repeated kSetupBefore times before the measured phase and
-/// kSetupAfter times after it; setup_s is the median of all of them. The
-/// later repetitions run on a CPU that is already busy and clocked up, so
-/// one slow process start does not decide the reported value.
-constexpr int kSetupBefore = 3;
-constexpr int kSetupAfter = 6;
+/// Set-up timings of one run, in seconds. Each workload times one block
+/// of set-ups before its measured phase and one after it: a set-up takes
+/// milliseconds, and a few of them sample the host's speed at one
+/// instant only. The blocks differ (the first runs in a fresh process),
+/// so a median over both would jump between them from run to run;
+/// setup_s is the mean of the two blocks' medians instead.
+struct SetupTimes {
+  std::vector<double> before, after;
+};
 
-/// Median of repeated set-up timings; recorded as setup_s.
-void FillSetup(const std::vector<double>& seconds, Report* report);
+/// Times one block of set-up repetitions: `once` runs a whole set-up and
+/// returns its seconds, or records its failure in the report and returns
+/// a negative value. A block repeats for at least kSetupBlockSeconds and
+/// kSetupMinReps times, and at most kSetupMaxReps times. False when a
+/// repetition fails.
+bool TimeSetupBlock(const std::function<double()>& once,
+                    std::vector<double>* seconds);
+constexpr double kSetupBlockSeconds = 2.0;
+constexpr int kSetupMinReps = 10;
+constexpr int kSetupMaxReps = 400;
+
+/// Records setup_s and each block's median and size.
+void FillSetup(const SetupTimes& setup, Report* report);
 
 /// Tracing overhead: traced minus untraced op p50, absolute and as a
 /// share of the untraced value.

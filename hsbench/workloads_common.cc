@@ -43,9 +43,28 @@ void FillEndToEnd(const Phase& phase, double op_tail_want,
   alias(names.aux_rate, "aux_per_s");
 }
 
-void FillSetup(const std::vector<double>& seconds, Report* report) {
-  report->e2e["setup_s"] = MedianOf(seconds);
-  report->info["setup_repetitions"] = std::to_string(seconds.size());
+bool TimeSetupBlock(const std::function<double()>& once,
+                    std::vector<double>* seconds) {
+  const auto start = Clock::now();
+  for (int rep = 0; rep < kSetupMaxReps; ++rep) {
+    if (rep >= kSetupMinReps && SecondsSince(start) >= kSetupBlockSeconds) {
+      break;
+    }
+    const double s = once();
+    if (s < 0) return false;
+    seconds->push_back(s);
+  }
+  return true;
+}
+
+void FillSetup(const SetupTimes& setup, Report* report) {
+  const double before = MedianOf(setup.before);
+  const double after = MedianOf(setup.after);
+  report->e2e["setup_s"] = (before + after) / 2;
+  report->info["setup_before_ms"] = Fmt(before * 1e3);
+  report->info["setup_after_ms"] = Fmt(after * 1e3);
+  report->info["setup_repetitions"] =
+      std::to_string(setup.before.size() + setup.after.size());
 }
 
 void FillTraceOverhead(const Phase& untraced, const Phase& traced,
