@@ -1,23 +1,32 @@
 // fleet_corpus: RunFleet with procs = min(4, nproc) worker processes of
-// the hornsafe CLI and jobs = 1, over a seeded on-disk corpus of 48
+// the hornsafe CLI and jobs = 1, over a seeded on-disk corpus of 512
 // programs that share library modules, against a fresh shared cache
 // directory per iteration. Each iteration runs two passes:
 //   cold pass  - empty cache dir: write-heavy (fsync'd write-through,
 //                shard leases, MANIFEST), cross-process hits only;
 //   rerun pass - after ~10% of the programs get a single-rule edit:
 //                read-heavy.
+// Iterations run back to back until the run's seconds are spent, and
+// each one deletes its cache and scratch directories when it is done.
 //
 //   op  = one program of a cold pass (worker-reported wall time); its
-//         tail is p95, which falls inside the group of programs that
-//         search and store the shared cones (p99 caught single fsync
-//         stalls and varied by more than the metric's bound)
-//   aux = one program of a rerun pass
+//         tail is p90. The programs that search the shared cones (the
+//         first few of each worker, ~2% of a pass) sit above p97: their
+//         times vary several-fold with how the workers race for the
+//         same cones. p95, at the edge of that group, varied between
+//         seeds twice as much as p90
+//   aux = one program of a rerun pass; its tail is p95. Each worker's
+//         first program (~0.8% of a pass) pays the new process's
+//         first-touch costs, so p99 fell among them and followed the
+//         host's memory state more than the program's work
 //   op_per_s / aux_per_s = programs per second of a cold / rerun pass
 //         (median over iterations, pass wall measured around RunFleet)
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <filesystem>
 #include <map>
-#include <thread>
 
 #include "core/fleet.h"
 #include "core/pipeline_cache.h"
@@ -27,10 +36,14 @@
 namespace hsbench {
 namespace {
 
-constexpr int kPrograms = 48;
-constexpr int kEdited = 5;  // ~10% of the corpus
-// 24 x 48 = 1152 cold-pass programs: ten samples beyond p99.
-constexpr int kIterations = 24;
+// A pass of 512 programs keeps worker start-up, the cache directory's
+// fsync'd writes and the programs that search the shared cones a small
+// share of its wall time. With 48 programs they dominated it, and with
+// 256 cold pass rates still varied by nearly the bound between runs.
+constexpr int kPrograms = 512;
+constexpr int kEdited = 51;  // ~10% of the corpus
+// The fewest iterations a run makes, however short its seconds.
+constexpr int kMinIterations = 8;
 
 struct DiskScan {
   double entries = 0;
@@ -103,21 +116,18 @@ class FleetRunner {
     return SecondsSince(s0);
   }
 
-  /// Runs kIterations iterations paced evenly over `seconds`. Every
-  /// cold pass writes and later discards a cache directory of ~100
-  /// files; back to back, that churn (journal and discard work on the
-  /// disk) slowed each following pass and each following run, so the
-  /// passes are spaced out instead. With a tracer, odd iterations are
+  /// Runs iterations back to back for `seconds`, and at least
+  /// kMinIterations. There are no idle gaps: after one, a pass measures
+  /// the host waking up, and cold-pass tails read about three times
+  /// higher and vary twice as much. With a tracer, odd iterations are
   /// traced and even ones are measured untraced into `untraced`.
   Phase Measure(double seconds, Tracer* tracer, Phase* untraced = nullptr) {
     Phase phase;
     std::vector<double> cold_rates, warm_rates;
     const auto start = Clock::now();
-    const std::chrono::duration<double> slot(seconds / kIterations);
     int iteration = 0;
-    for (; iteration < kIterations; ++iteration) {
-      std::this_thread::sleep_until(
-          start + std::chrono::duration_cast<Clock::duration>(slot * iteration));
+    for (; iteration < kMinIterations || SecondsSince(start) < seconds;
+         ++iteration) {
       const bool traced = tracer != nullptr && iteration % 2 == 1;
       Phase* into = tracer != nullptr && !traced ? untraced : &phase;
       if (!Iterate(traced ? tracer : nullptr, into, traced)) break;
@@ -131,6 +141,9 @@ class FleetRunner {
     report_->info["fleet_iterations"] = std::to_string(iteration);
     return phase;
   }
+
+  /// Deletes the corpus and the set-up cache directory.
+  void RemoveWorkDir() { Discard(root_); }
 
   const Tallies& tallies() const { return t_; }
   int procs() const { return procs_; }
@@ -147,17 +160,24 @@ class FleetRunner {
   }
 
  private:
-  /// Moves a used directory aside into the work directory's trash, which
-  /// is deleted with the whole work directory by a later run.py (see
-  /// prune_work there). Deleting thousands of cache files between passes
-  /// kept the disk busy during the next pass and made cold-pass timings
-  /// depend on the previous pass.
+  /// Deletes a used cache or scratch directory, outside any timed
+  /// pass. Used directories kept on disk make every later pass of the
+  /// run slower: with them kept, cold pass wall time rose by half over
+  /// ten seconds.
   void Discard(const std::string& path) {
     std::error_code ec;
-    if (!std::filesystem::exists(path, ec)) return;
-    MakeDirs(root_ + "/trash");
-    std::filesystem::rename(
-        path, root_ + "/trash/" + std::to_string(++discarded_), ec);
+    std::filesystem::remove_all(path, ec);
+  }
+
+  /// Commits this file system's journal, untimed, before a timed pass.
+  /// The deletions and program writes between passes otherwise commit
+  /// during the next pass and delay its fsyncs: with this, cold passes
+  /// of one run had a third less spread between their quartiles.
+  void SettleDisk() {
+    const int fd = ::open(root_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0) return;
+    ::syncfs(fd);
+    ::close(fd);
   }
 
   hornsafe::FleetOptions Options(const std::string& cache_dir) const {
@@ -192,6 +212,7 @@ class FleetRunner {
 
     hornsafe::FleetOptions opts = Options(dir);
     Discard(opts.scratch_dir);
+    SettleDisk();
 
     hornsafe::Result<hornsafe::FleetReport> cold = Pass(
         opts, tracer, "fleet.cold_pass", phase, /*cold=*/true, traced);
@@ -217,6 +238,7 @@ class FleetRunner {
       }
     }
     Discard(opts.scratch_dir);
+    SettleDisk();
     hornsafe::Result<hornsafe::FleetReport> warm = Pass(
         opts, tracer, "fleet.rerun_pass", phase, /*cold=*/false, traced);
     Discard(opts.scratch_dir);
@@ -290,7 +312,6 @@ class FleetRunner {
   const std::string root_;
   const int procs_;
   uint64_t iter_ = 0;
-  uint64_t discarded_ = 0;
   bool primed_ = false;
   std::vector<int> edited_;
   double last_cold_rate_ = 0, last_warm_rate_ = 0;
@@ -332,17 +353,17 @@ Report FleetCorpusWorkload(const Context& ctx) {
   report.info["procs"] = std::to_string(runner.procs());
   report.info["corpus_programs"] = std::to_string(kPrograms);
   report.info["input_digest"] = runner.InputDigest();
-  const AliasNames names{"cold_program_ms_p50", "cold_program_ms_p95",
+  const AliasNames names{"cold_program_ms_p50", "cold_program_ms_p90",
                          "cold_programs_per_s", "warm_program_ms_p50",
-                         "warm_program_ms_p99", "warm_programs_per_s"};
+                         "warm_program_ms_p95", "warm_programs_per_s"};
   if (!ctx.trace) {
     Phase phase = runner.Measure(ctx.seconds, nullptr);
-    FillEndToEnd(phase, 95, 99, names, &report);
+    FillEndToEnd(phase, 90, 95, names, &report);
   } else {
     Phase untraced;
     Tracer tracer;
     Phase traced = runner.Measure(ctx.seconds, &tracer, &untraced);
-    FillEndToEnd(untraced, 95, 99, names, &report);
+    FillEndToEnd(untraced, 90, 95, names, &report);
     FillLayers(runner.tallies(), &report);
     FillTraceOverhead(untraced, traced, tracer, &report);
     tracer.Write(ctx.results_dir + "/trace-fleet_corpus-seed" +
@@ -352,9 +373,7 @@ Report FleetCorpusWorkload(const Context& ctx) {
   report.children_rss_mb = ChildrenPeakRssMb() * runner.procs();
   TimeSetupBlock(setup_once, &setup.after);
   FillSetup(setup, &report);
-  // The work directory (corpus, used cache and scratch directories) is
-  // left in place: deleting its thousands of files slowed the runs that
-  // followed. run.py caps how many are kept (see README.md).
+  runner.RemoveWorkDir();
   return report;
 }
 

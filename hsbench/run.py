@@ -24,7 +24,6 @@ import sys
 
 WORKLOADS = ("run_cold", "edit_warm", "serve_mixed", "fleet_corpus")
 RUN_TIMEOUT_S = 175
-KEEP_WORK_DIRS = 40
 
 
 def log(msg):
@@ -81,23 +80,6 @@ def build(root, bench_dir, build_dir):
     return True
 
 
-def prune_work(work_root):
-    """Keeps the work directories of the newest KEEP_WORK_DIRS earlier runs
-    and deletes the rest. fleet_corpus leaves ~5 MB in ~2000 files there
-    per run. Deleting them is not free on a file system mounted with
-    online discard: with one run's files deleted before every run, the
-    freed extents kept the disk busy into the following runs, and cold
-    programs per second fell over five runs from 940 to a plateau near
-    560. The cap bounds the directory at about KEEP_WORK_DIRS x 5 MB while
-    a series of that many runs deletes nothing."""
-    if not os.path.isdir(work_root):
-        return
-    dirs = sorted((os.path.join(work_root, d) for d in os.listdir(work_root)),
-                  key=os.path.getmtime)
-    for path in dirs[:max(0, len(dirs) - KEEP_WORK_DIRS)]:
-        shutil.rmtree(path, ignore_errors=True)
-
-
 def check_result(line, spec, trace):
     """The result line must carry exactly the metrics BENCHMARK.json names
     for this mode, with their units."""
@@ -131,7 +113,6 @@ def main():
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         spec = json.load(f)
 
-    prune_work(os.path.join(build_dir, "work"))
     work = os.path.join(build_dir, "work", f"{args.workload}-{os.getpid()}")
     results = os.path.join(build_dir, "results")
     cmd = [os.path.join(build_dir, "hsbench"),
@@ -153,12 +134,9 @@ def main():
         log(f"run exceeded {RUN_TIMEOUT_S} s")
         return 1
     finally:
-        # fleet_corpus leaves its files here (see prune_work); the other
-        # workloads leave the directory empty.
-        try:
-            os.rmdir(work)
-        except OSError:
-            pass
+        # fleet_corpus deletes its files itself; this also covers a run
+        # that ended early.
+        shutil.rmtree(work, ignore_errors=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stdout.write(proc.stdout)

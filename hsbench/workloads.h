@@ -92,7 +92,7 @@ bool TimeSetupBlock(const std::function<double()>& once,
                     std::vector<double>* seconds);
 constexpr double kSetupBlockSeconds = 2.0;
 constexpr int kSetupMinReps = 10;
-constexpr int kSetupMaxReps = 400;
+constexpr int kSetupMaxReps = 20000;
 
 /// Records setup_s and each block's median and size.
 void FillSetup(const SetupTimes& setup, Report* report);
