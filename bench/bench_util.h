@@ -302,8 +302,10 @@ inline std::string RandomFamilyText(uint64_t seed, int rules,
 /// The incremental-analysis edit workload: `modules` independent copies
 /// of the SharedDiamond family (predicate names suffixed "_m<j>"), each
 /// exporting every ring predicate as a query point (the serve model:
-/// one `check` re-verifies all published queries after each edit),
-/// every module *safe*. `edit >= 0` structurally edits module
+/// one `check` re-verifies all published queries after each edit).
+/// Only the `b<i>` ring predicates are safe: `hornsafe check` reports
+/// every `d<i>` unsafe, with an AND-graph through `f_m<j>` and
+/// `t2_m<j>`. `edit >= 0` structurally edits module
 /// `edit % modules` by appending a fresh guard literal (whose name
 /// varies with `edit`) to that module's grounding rule, so exactly that
 /// module's ring cones change fingerprint; every other module is

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "andor/adorn.h"
-#include "andor/fragment.h"
 #include "andor/segment.h"
 #include "andor/system.h"
 #include "fd/fd.h"
@@ -31,16 +30,6 @@ struct BuildOptions {
   using FdIndexMap =
       std::unordered_map<PredicateId, std::shared_ptr<const FdClosureIndex>>;
   const FdIndexMap* fd_indexes = nullptr;
-
-  /// Fragment templates to splice per canonical rule (andor/fragment.h);
-  /// null (or a null entry) means build fresh. Splicing produces a
-  /// system bit-identical to a fresh build.
-  const FragmentSplicePlan* splice = nullptr;
-
-  /// When set, fresh-built adorned rules record replay templates here
-  /// (sized/filled by the builder) and the spliced/rebuilt tallies are
-  /// kept, so the caller can cache the new fragments.
-  FragmentRecording* recording = nullptr;
 
   /// Per-component segment plan (andor/segment.h). When set the builder
   /// works component by component — grafting cached segments wholesale,

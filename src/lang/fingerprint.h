@@ -13,7 +13,7 @@ namespace hornsafe {
 /// The predicate dependency graph of a program: `p` depends on `q` when
 /// some rule with head `p` mentions `q` in its body. Safety verdicts for
 /// an argument position of `p` only ever look *down* this graph — the
-/// And-Or fragment reachable from `p`'s head-argument nodes is built
+/// And-Or subgraph reachable from `p`'s head-argument nodes is built
 /// from `p`'s rules and its transitive callees — which is what makes
 /// per-predicate cone fingerprints a sound cache key (DESIGN.md, D12).
 class PredicateDepGraph {

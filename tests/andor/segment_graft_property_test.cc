@@ -1,14 +1,17 @@
-// Randomised sweeps over the differential front half (DESIGN.md, D12):
-// after any chain of single-cone edits, an analyzer that splices cached
-// And-Or fragments, adornment sets and FD indexes back into its build
-// must produce a system *isomorphic* to a from-scratch build of the
-// same program — same rendered system, and bit-identical verdicts,
-// explanations and step counts for every query. A second battery runs
-// concurrent Update() against pinned-snapshot checks under a shared
-// cache (the TSan job runs this binary).
+// Randomised sweeps over the warm build path (DESIGN.md, D12 and D15):
+// after any chain of single-cone edits, an analyzer that grafts cached
+// node-table segments and reuses adornment sets and FD indexes must
+// produce a system *isomorphic* to a from-scratch build of the same
+// program — same rendered system, and bit-identical verdicts,
+// explanations and step counts for every query. Both clause layouts are
+// swept: module-contiguous (clean components graft) and interleaved
+// (no segments are planned, so every rule is interned fresh). A second
+// battery runs concurrent Update() against pinned-snapshot checks under
+// a shared cache (the TSan job runs this binary).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -30,11 +33,22 @@ Program MustParse(const std::string& text) {
   return std::move(r).value();
 }
 
+/// How a workload's clauses are laid out in the program text.
+enum class Layout {
+  /// Each module's clauses form one run: the component partition is
+  /// contiguous, so clean modules graft their cached segments.
+  kModular,
+  /// Clauses are dealt round-robin across modules: the partition is not
+  /// contiguous, no segments are planned and every rule is interned
+  /// fresh on each build.
+  kInterleaved,
+};
+
 /// A multi-module workload where every module is a diamond ring (the
 /// bench_incremental family) whose grounding clause comes in several
 /// structurally different variants. Bumping one module's variant is a
 /// single-cone edit: that module's ring re-fingerprints, every other
-/// module stays clean and must splice.
+/// module stays clean.
 struct Workload {
   int modules;
   int ring;
@@ -42,39 +56,77 @@ struct Workload {
 
   Workload(int m, int r) : modules(m), ring(r), variant(m, 0) {}
 
-  std::string Render() const {
+  /// The rule clauses of module `mi`, in order.
+  std::vector<std::string> Rules(int mi) const {
+    std::string s = StrCat("m", mi);
+    std::vector<std::string> rules;
+    for (int i = 0; i < ring; ++i) {
+      rules.push_back(StrCat("b", i, s, "(X) :- d", i, s, "(X), b",
+                             (i + 1) % ring, s, "(X).\n"));
+      rules.push_back(
+          StrCat("d", i, s, "(X) :- f", s, "(X,Y), e", i, s, "(Y).\n"));
+      rules.push_back(StrCat("e", i, s, "(X) :- t2", s, "(X,Z).\n"));
+    }
+    switch (variant[mi] % 4) {
+      case 0:
+        rules.push_back(StrCat("b0", s, "(X) :- c", s, "(X).\n"));
+        break;
+      case 1:
+        rules.push_back(
+            StrCat("b0", s, "(X) :- c", s, "(X), extra", s, "(X).\n"));
+        break;
+      case 2:
+        // FD-determined head: X flows backwards through the fd.
+        rules.push_back(
+            StrCat("b0", s, "(X) :- f", s, "(X,Y), c", s, "(Y).\n"));
+        break;
+      case 3:
+        // Ground a different ring member; b0's own grounding is gone.
+        rules.push_back(StrCat("b1", s, "(X) :- c", s, "(X).\n"));
+        break;
+    }
+    return rules;
+  }
+
+  std::string Declarations(int mi) const {
+    std::string s = StrCat("m", mi);
+    return StrCat(".infinite f", s, "/2.\n.fd f", s, ": 2 -> 1.\n",
+                  ".infinite t2", s, "/2.\n");
+  }
+
+  std::string Queries(int mi) const {
+    std::string s = StrCat("m", mi);
     std::string t;
+    for (int i = 0; i < ring; ++i) {
+      t += StrCat("?- b", i, s, "(X).\n");
+      t += StrCat("?- d", i, s, "(X).\n");
+    }
+    return t;
+  }
+
+  std::string Render(Layout layout = Layout::kModular) const {
+    std::string t;
+    if (layout == Layout::kModular) {
+      for (int mi = 0; mi < modules; ++mi) {
+        t += Declarations(mi);
+        for (const std::string& r : Rules(mi)) t += r;
+        t += Queries(mi);
+      }
+      return t;
+    }
+    std::vector<std::vector<std::string>> rules;
+    size_t longest = 0;
     for (int mi = 0; mi < modules; ++mi) {
-      std::string s = StrCat("m", mi);
-      t += StrCat(".infinite f", s, "/2.\n.fd f", s, ": 2 -> 1.\n");
-      t += StrCat(".infinite t2", s, "/2.\n");
-      for (int i = 0; i < ring; ++i) {
-        t += StrCat("b", i, s, "(X) :- d", i, s, "(X), b", (i + 1) % ring,
-                    s, "(X).\n");
-        t += StrCat("d", i, s, "(X) :- f", s, "(X,Y), e", i, s, "(Y).\n");
-        t += StrCat("e", i, s, "(X) :- t2", s, "(X,Z).\n");
-      }
-      switch (variant[mi] % 4) {
-        case 0:
-          t += StrCat("b0", s, "(X) :- c", s, "(X).\n");
-          break;
-        case 1:
-          t += StrCat("b0", s, "(X) :- c", s, "(X), extra", s, "(X).\n");
-          break;
-        case 2:
-          // FD-determined head: X flows backwards through the fd.
-          t += StrCat("b0", s, "(X) :- f", s, "(X,Y), c", s, "(Y).\n");
-          break;
-        case 3:
-          // Ground a different ring member; b0's own grounding is gone.
-          t += StrCat("b1", s, "(X) :- c", s, "(X).\n");
-          break;
-      }
-      for (int i = 0; i < ring; ++i) {
-        t += StrCat("?- b", i, s, "(X).\n");
-        t += StrCat("?- d", i, s, "(X).\n");
+      t += Declarations(mi);
+      rules.push_back(Rules(mi));
+      longest = std::max(longest, rules.back().size());
+    }
+    for (size_t k = 0; k < longest; ++k) {
+      for (const std::vector<std::string>& module_rules : rules) {
+        if (k < module_rules.size()) t += module_rules[k];
       }
     }
+    for (int mi = 0; mi < modules; ++mi) t += Queries(mi);
     return t;
   }
 };
@@ -99,59 +151,73 @@ void ExpectSameAnalyses(const std::vector<QueryAnalysis>& warm,
   }
 }
 
-class FragmentSplicePropertyTest : public ::testing::TestWithParam<uint64_t> {
+class SegmentGraftPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
-// P1. Splice isomorphism: across a random chain of single-cone edits,
-// the spliced system renders identically to a from-scratch build, and
-// every query's verdict/explanation/steps are bit-identical.
-TEST_P(FragmentSplicePropertyTest, SplicedSystemIsomorphicToFresh) {
-  Rng rng(GetParam());
+/// Warm == cold across a random chain of single-cone edits: after each
+/// Update the warm system renders identically to a from-scratch build,
+/// and every query's verdict/explanation/steps/graph count is
+/// bit-identical. In the modular layout every edit must also graft the
+/// clean modules' segments; in the interleaved layout no segment is
+/// ever planned.
+void CheckWarmEqualsCold(uint64_t seed, Layout layout) {
+  Rng rng(seed);
   Workload w(2 + static_cast<int>(rng.Below(2)), 3);
 
   PipelineCache cache;
   AnalyzerOptions opts;
   opts.cache = &cache;
-  auto warm = SafetyAnalyzer::Create(MustParse(w.Render()), opts);
+  auto warm = SafetyAnalyzer::Create(MustParse(w.Render(layout)), opts);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  warm->AnalyzeQueries();  // prime the fragment tier
+  warm->AnalyzeQueries();  // prime the cache tiers
 
   for (int edit = 0; edit < 4; ++edit) {
     w.variant[rng.Below(w.modules)]++;
-    std::string text = w.Render();
+    std::string text = w.Render(layout);
     Program next = MustParse(text);
 
-    uint64_t spliced_before = warm->counters().fragments_spliced;
     uint64_t grafted_before = warm->counters().segments_grafted;
     auto up = warm->Update(next);
     ASSERT_TRUE(up.ok()) << up.status().ToString();
-    // A single-cone edit leaves every other module clean: its fragments
-    // must come back out of the cache, not be rebuilt.
-    EXPECT_GT(warm->counters().fragments_spliced, spliced_before)
-        << "edit " << edit << " spliced nothing in:\n" << text;
-    // Likewise each clean module's node-table segment must be grafted
-    // wholesale, never re-interned or rejected by validation.
-    EXPECT_GT(warm->counters().segments_grafted, grafted_before)
-        << "edit " << edit << " grafted nothing in:\n" << text;
-    EXPECT_EQ(warm->counters().segment_grafts_rejected, 0u)
-        << "edit " << edit << " in:\n" << text;
+    if (layout == Layout::kModular) {
+      // A single-cone edit leaves every other module clean: each clean
+      // module's node-table segment must be grafted wholesale, never
+      // re-interned or rejected by validation.
+      EXPECT_GT(warm->counters().segments_grafted, grafted_before)
+          << "edit " << edit << " grafted nothing in:\n" << text;
+      EXPECT_EQ(warm->counters().segment_grafts_rejected, 0u)
+          << "edit " << edit << " in:\n" << text;
+    } else {
+      EXPECT_EQ(warm->counters().segments_total, 0u)
+          << "edit " << edit << " planned segments in:\n" << text;
+    }
     EXPECT_GT(up->clean_predicates, 0u);
 
     auto cold = SafetyAnalyzer::Create(MustParse(text));
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
     EXPECT_EQ(warm->system().ToString(warm->canonical()),
               cold->system().ToString(cold->canonical()))
-        << "spliced system diverged after edit " << edit << " in:\n"
-        << text;
+        << "warm system diverged after edit " << edit << " in:\n" << text;
     ExpectSameAnalyses(warm->AnalyzeQueries(), cold->AnalyzeQueries(),
                        text);
   }
 }
 
-// P2. Concurrent Update() + pinned-snapshot checks with fragment reuse:
+// P1. Warm == cold with segment grafting (module-contiguous clauses).
+TEST_P(SegmentGraftPropertyTest, GraftedSystemIsomorphicToFresh) {
+  CheckWarmEqualsCold(GetParam(), Layout::kModular);
+}
+
+// P1b. Warm == cold without segments (clauses interleaved across
+// modules): the warm path interns every rule fresh.
+TEST_P(SegmentGraftPropertyTest, InterleavedSystemIsomorphicToFresh) {
+  CheckWarmEqualsCold(GetParam(), Layout::kInterleaved);
+}
+
+// P2. Concurrent Update() + pinned-snapshot checks with segment reuse:
 // readers pin a snapshot and keep answering from it (bit-stable) while
 // a writer swaps edited programs underneath through the shared cache.
-TEST_P(FragmentSplicePropertyTest, ConcurrentUpdatesWithPinnedChecks) {
+TEST_P(SegmentGraftPropertyTest, ConcurrentUpdatesWithPinnedChecks) {
   Workload w(2, 3);
   PipelineCache cache;
   AnalyzerOptions opts;
@@ -186,11 +252,9 @@ TEST_P(FragmentSplicePropertyTest, ConcurrentUpdatesWithPinnedChecks) {
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 
-  // The swaps really did reuse fragments from the shared tier — and the
-  // segment tier: clean modules' node-table spans were grafted from
-  // segments shared with the snapshots the readers were pinning.
-  EXPECT_GT(analyzer->counters().fragments_spliced, 0u);
-  EXPECT_GT(cache.stats().fragment_hits, 0u);
+  // The swaps really did reuse the segment tier: clean modules'
+  // node-table spans were grafted from segments shared with the
+  // snapshots the readers were pinning.
   EXPECT_GT(analyzer->counters().segments_grafted, 0u);
   EXPECT_GT(cache.stats().segment_hits, 0u);
 }
@@ -199,7 +263,7 @@ TEST_P(FragmentSplicePropertyTest, ConcurrentUpdatesWithPinnedChecks) {
 // a burst of edits keeps rendering and answering bit-identically while
 // later builds graft (and the cache churns) the very segments it
 // shares.
-TEST_P(FragmentSplicePropertyTest, PinnedSnapshotStableAcrossSegmentChurn) {
+TEST_P(SegmentGraftPropertyTest, PinnedSnapshotStableAcrossSegmentChurn) {
   Rng rng(GetParam() ^ 0x9d2c5680ULL);
   Workload w(3, 3);
   PipelineCache cache;
@@ -235,7 +299,7 @@ TEST_P(FragmentSplicePropertyTest, PinnedSnapshotStableAcrossSegmentChurn) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FragmentSplicePropertyTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, SegmentGraftPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
