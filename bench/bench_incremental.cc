@@ -16,6 +16,7 @@
 
 #include "bench/bench_util.h"
 #include "core/analyzer.h"
+#include "core/counter_table.h"
 #include "core/pipeline_cache.h"
 #include "util/strings.h"
 
@@ -96,20 +97,15 @@ void BM_IncrementalEditWorkload(benchmark::State& state) {
   // re-analyze per edit) back to back.
   double cold_seconds = 0;
   uint64_t cold_build_ns = 0;
-  uint64_t warm_steps = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_lookups = 0;
-  uint64_t segments_grafted = 0;
-  uint64_t segments_total = 0;
-  uint64_t grafts_rejected = 0;
-  uint64_t nodes_shared = 0;
-  uint64_t nodes_owned = 0;
   uint64_t snapshot_nodes = 0;
   uint64_t snapshot_segments_live = 0;
   double warm_update_seconds = 0;
   double warm_analyze_seconds = 0;
   uint64_t rounds = 0;
-  SafetyAnalyzer::Counters stage_totals;
+  // Counters of the warm edit streams only (priming excluded).
+  SafetyAnalyzer::Counters warm_totals;
   for (auto _ : state) {
     for (const Program& p : edits) {
       auto t0 = std::chrono::steady_clock::now();
@@ -148,31 +144,20 @@ void BM_IncrementalEditWorkload(benchmark::State& state) {
       t0 = std::chrono::steady_clock::now();
     }
     SafetyAnalyzer::Counters c = analyzer->counters();
-    warm_steps += c.steps - primed.steps;
+    Merge(warm_totals, Diff(c, primed));
+    // The hit rate counts the priming lookups too.
     cache_hits += c.cache_hits;
     cache_lookups += c.cache_hits + c.cache_misses;
-    segments_grafted += c.segments_grafted - primed.segments_grafted;
-    segments_total += c.segments_total - primed.segments_total;
-    grafts_rejected +=
-        c.segment_grafts_rejected - primed.segment_grafts_rejected;
-    nodes_shared += c.nodes_shared - primed.nodes_shared;
-    nodes_owned += c.nodes_owned - primed.nodes_owned;
     snapshot_nodes = analyzer->stats().nodes;
     snapshot_segments_live = analyzer->stats().segments_live;
-    stage_totals.stage_canonicalize_ns +=
-        c.stage_canonicalize_ns - primed.stage_canonicalize_ns;
-    stage_totals.stage_fingerprint_ns +=
-        c.stage_fingerprint_ns - primed.stage_fingerprint_ns;
-    stage_totals.stage_fd_ns += c.stage_fd_ns - primed.stage_fd_ns;
-    stage_totals.stage_adorn_ns += c.stage_adorn_ns - primed.stage_adorn_ns;
-    stage_totals.stage_build_ns += c.stage_build_ns - primed.stage_build_ns;
-    stage_totals.stage_prune_ns += c.stage_prune_ns - primed.stage_prune_ns;
-    stage_totals.stage_scc_ns += c.stage_scc_ns - primed.stage_scc_ns;
-    stage_totals.stage_search_ns +=
-        c.stage_search_ns - primed.stage_search_ns;
     ++rounds;
   }
   if (rounds == 0) return;
+  const uint64_t warm_steps = warm_totals.steps;
+  const uint64_t segments_grafted = warm_totals.segments_grafted;
+  const uint64_t segments_total = warm_totals.segments_total;
+  const uint64_t nodes_shared = warm_totals.nodes_shared;
+  const uint64_t nodes_owned = warm_totals.nodes_owned;
   Check(segments_grafted > 0, "warm updates grafted no segments");
   Check(nodes_shared > 0, "warm updates shared no nodes");
 
@@ -226,7 +211,7 @@ void BM_IncrementalEditWorkload(benchmark::State& state) {
               static_cast<double>(segments_grafted) /
                   static_cast<double>(rounds) / kEdits);
   dump.Record(name, "warm_segment_grafts_rejected_per_edit",
-              static_cast<double>(grafts_rejected) /
+              static_cast<double>(warm_totals.segment_grafts_rejected) /
                   static_cast<double>(rounds) / kEdits);
   dump.Record(name, "snapshot_nodes",
               static_cast<double>(snapshot_nodes));
@@ -234,28 +219,16 @@ void BM_IncrementalEditWorkload(benchmark::State& state) {
               static_cast<double>(snapshot_segments_live));
   dump.Record(name, "cold_stage_build_ms_per_edit",
               static_cast<double>(cold_build_ns) * per_edit_ms);
-  dump.Record(name, "warm_stage_canonicalize_ms_per_edit",
-              static_cast<double>(stage_totals.stage_canonicalize_ns) *
-                  per_edit_ms);
-  dump.Record(name, "warm_stage_fingerprint_ms_per_edit",
-              static_cast<double>(stage_totals.stage_fingerprint_ns) *
-                  per_edit_ms);
-  dump.Record(name, "warm_stage_fd_ms_per_edit",
-              static_cast<double>(stage_totals.stage_fd_ns) * per_edit_ms);
-  dump.Record(name, "warm_stage_adorn_ms_per_edit",
-              static_cast<double>(stage_totals.stage_adorn_ns) *
-                  per_edit_ms);
-  dump.Record(name, "warm_stage_build_ms_per_edit",
-              static_cast<double>(stage_totals.stage_build_ns) *
-                  per_edit_ms);
-  dump.Record(name, "warm_stage_prune_ms_per_edit",
-              static_cast<double>(stage_totals.stage_prune_ns) *
-                  per_edit_ms);
-  dump.Record(name, "warm_stage_scc_ms_per_edit",
-              static_cast<double>(stage_totals.stage_scc_ns) * per_edit_ms);
-  dump.Record(name, "warm_stage_search_ms_per_edit",
-              static_cast<double>(stage_totals.stage_search_ns) *
-                  per_edit_ms);
+  for (const CounterField<SafetyAnalyzer::Counters>& f :
+       kAnalyzerCounterTable) {
+    // stage_<x>_ns -> warm_stage_<x>_ms_per_edit
+    std::string field = f.name;
+    if (field.rfind("stage_", 0) != 0) continue;
+    dump.Record(name,
+                StrCat("warm_", field.substr(0, field.size() - 3),
+                       "_ms_per_edit"),
+                static_cast<double>(warm_totals.*f.field) * per_edit_ms);
+  }
 }
 BENCHMARK(BM_IncrementalEditWorkload)->Arg(4)->Arg(8)->Arg(16);
 

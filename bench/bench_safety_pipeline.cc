@@ -9,6 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "core/analyzer.h"
+#include "core/counter_table.h"
 #include "util/strings.h"
 
 namespace hornsafe {
@@ -105,10 +106,10 @@ void BM_PipelineWideJobs(benchmark::State& state) {
   std::string name = StrCat("pipeline_wide/jobs=", jobs);
   dump.Record(name, "seconds_per_analysis",
               seconds / static_cast<double>(state.iterations()));
-  dump.Record(name, "steps", static_cast<double>(c.steps));
-  dump.Record(name, "memo_hits", static_cast<double>(c.memo_hits));
-  dump.Record(name, "scc_short_circuits",
-              static_cast<double>(c.scc_short_circuits));
+  for (const CounterField<SafetyAnalyzer::Counters>& f :
+       kAnalyzerCounterTable) {
+    dump.Record(name, f.name, static_cast<double>(c.*f.field));
+  }
 }
 BENCHMARK(BM_PipelineWideJobs)->Arg(1)->Arg(2)->Arg(4);
 

@@ -1,6 +1,7 @@
 #include "core/analyzer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <future>
 
 #include "andor/build.h"
@@ -8,6 +9,7 @@
 #include "andor/lfp.h"
 #include "andor/reduce.h"
 #include "andor/segment.h"
+#include "core/counter_table.h"
 #include "lang/struct_hash.h"
 #include "util/stage_timer.h"
 #include "util/strings.h"
@@ -385,37 +387,23 @@ Result<SafetyAnalyzer> SafetyAnalyzer::Create(
 }
 
 void SafetyAnalyzer::FoldBuildStats(const AnalysisSnapshot::Stats& stats) {
-  SharedCounters& c = shared_->counters;
-  c.stage_canonicalize_ns.fetch_add(stats.stage_canonicalize_ns,
-                                    std::memory_order_relaxed);
-  c.stage_fingerprint_ns.fetch_add(stats.stage_fingerprint_ns,
-                                   std::memory_order_relaxed);
-  c.stage_fd_ns.fetch_add(stats.stage_fd_ns, std::memory_order_relaxed);
-  c.stage_adorn_ns.fetch_add(stats.stage_adorn_ns,
-                             std::memory_order_relaxed);
-  c.stage_build_ns.fetch_add(stats.stage_build_ns,
-                             std::memory_order_relaxed);
-  c.stage_prune_ns.fetch_add(stats.stage_prune_ns,
-                             std::memory_order_relaxed);
-  c.stage_scc_ns.fetch_add(stats.stage_scc_ns, std::memory_order_relaxed);
-  c.segments_total.fetch_add(stats.segments_total,
-                             std::memory_order_relaxed);
-  c.segments_grafted.fetch_add(stats.segments_grafted,
-                               std::memory_order_relaxed);
-  c.segment_grafts_rejected.fetch_add(stats.segment_grafts_rejected,
-                                      std::memory_order_relaxed);
-  c.segments_encoded.fetch_add(stats.segments_encoded,
-                               std::memory_order_relaxed);
-  c.nodes_shared.fetch_add(stats.nodes_shared, std::memory_order_relaxed);
-  c.nodes_owned.fetch_add(stats.nodes_owned, std::memory_order_relaxed);
-  auto raise_to = [](std::atomic<uint64_t>& gauge, uint64_t seen) {
-    uint64_t cur = gauge.load(std::memory_order_relaxed);
-    while (cur < seen && !gauge.compare_exchange_weak(
-                             cur, seen, std::memory_order_relaxed)) {
-    }
-  };
-  raise_to(c.node_table_peak_nodes, stats.nodes);
-  raise_to(c.node_table_peak_bytes, stats.node_table_bytes);
+  Counters build;
+  build.stage_canonicalize_ns = stats.stage_canonicalize_ns;
+  build.stage_fingerprint_ns = stats.stage_fingerprint_ns;
+  build.stage_fd_ns = stats.stage_fd_ns;
+  build.stage_adorn_ns = stats.stage_adorn_ns;
+  build.stage_build_ns = stats.stage_build_ns;
+  build.stage_prune_ns = stats.stage_prune_ns;
+  build.stage_scc_ns = stats.stage_scc_ns;
+  build.segments_total = stats.segments_total;
+  build.segments_grafted = stats.segments_grafted;
+  build.segment_grafts_rejected = stats.segment_grafts_rejected;
+  build.segments_encoded = stats.segments_encoded;
+  build.nodes_shared = stats.nodes_shared;
+  build.nodes_owned = stats.nodes_owned;
+  build.node_table_peak_nodes = stats.nodes;
+  build.node_table_peak_bytes = stats.node_table_bytes;
+  AtomicMerge(shared_->counters, build);
 }
 
 std::shared_ptr<const AnalysisSnapshot> SafetyAnalyzer::snapshot() const {
@@ -488,7 +476,8 @@ Result<SafetyAnalyzer::UpdateStats> SafetyAnalyzer::Update(
   // call sees `fresh`. Counters live outside the snapshot and carry
   // over untouched.
   Publish(std::move(fresh));
-  shared_->counters.snapshot_swaps.fetch_add(1, std::memory_order_relaxed);
+  std::atomic_ref<uint64_t>(shared_->counters.snapshot_swaps)
+      .fetch_add(1, std::memory_order_relaxed);
   if (build_options.cache != nullptr) {
     build_options.cache->NoteInvalidatedCones(out.dirty_predicates);
   }
@@ -522,43 +511,7 @@ std::shared_ptr<ThreadPool> SafetyAnalyzer::Pool(size_t threads) {
 }
 
 SafetyAnalyzer::Counters SafetyAnalyzer::counters() const {
-  const SharedCounters& sc = shared_->counters;
-  Counters c;
-  c.positions_analyzed = sc.positions_analyzed.load(std::memory_order_relaxed);
-  c.subset_searches = sc.subset_searches.load(std::memory_order_relaxed);
-  c.steps = sc.steps.load(std::memory_order_relaxed);
-  c.graphs_checked = sc.graphs_checked.load(std::memory_order_relaxed);
-  c.memo_hits = sc.memo_hits.load(std::memory_order_relaxed);
-  c.memo_misses = sc.memo_misses.load(std::memory_order_relaxed);
-  c.scc_short_circuits =
-      sc.scc_short_circuits.load(std::memory_order_relaxed);
-  c.parallel_tasks = sc.parallel_tasks.load(std::memory_order_relaxed);
-  c.serial_tasks = sc.serial_tasks.load(std::memory_order_relaxed);
-  c.cache_hits = sc.cache_hits.load(std::memory_order_relaxed);
-  c.cache_misses = sc.cache_misses.load(std::memory_order_relaxed);
-  c.snapshot_swaps = sc.snapshot_swaps.load(std::memory_order_relaxed);
-  c.stage_canonicalize_ns =
-      sc.stage_canonicalize_ns.load(std::memory_order_relaxed);
-  c.stage_fingerprint_ns =
-      sc.stage_fingerprint_ns.load(std::memory_order_relaxed);
-  c.stage_fd_ns = sc.stage_fd_ns.load(std::memory_order_relaxed);
-  c.stage_adorn_ns = sc.stage_adorn_ns.load(std::memory_order_relaxed);
-  c.stage_build_ns = sc.stage_build_ns.load(std::memory_order_relaxed);
-  c.stage_prune_ns = sc.stage_prune_ns.load(std::memory_order_relaxed);
-  c.stage_scc_ns = sc.stage_scc_ns.load(std::memory_order_relaxed);
-  c.stage_search_ns = sc.stage_search_ns.load(std::memory_order_relaxed);
-  c.segments_total = sc.segments_total.load(std::memory_order_relaxed);
-  c.segments_grafted = sc.segments_grafted.load(std::memory_order_relaxed);
-  c.segment_grafts_rejected =
-      sc.segment_grafts_rejected.load(std::memory_order_relaxed);
-  c.segments_encoded = sc.segments_encoded.load(std::memory_order_relaxed);
-  c.nodes_shared = sc.nodes_shared.load(std::memory_order_relaxed);
-  c.nodes_owned = sc.nodes_owned.load(std::memory_order_relaxed);
-  c.node_table_peak_nodes =
-      sc.node_table_peak_nodes.load(std::memory_order_relaxed);
-  c.node_table_peak_bytes =
-      sc.node_table_peak_bytes.load(std::memory_order_relaxed);
-  return c;
+  return AtomicLoad(shared_->counters);
 }
 
 QueryAnalysis SafetyAnalyzer::AnalyzePredicate(const AnalysisSnapshot& snap,
@@ -568,7 +521,9 @@ QueryAnalysis SafetyAnalyzer::AnalyzePredicate(const AnalysisSnapshot& snap,
   const Program& p = snap.canon->program;
   const AndOrSystem& system = snap.system;
   PipelineCache* cache = snap.options.cache;
-  SharedCounters& counters = shared_->counters;
+  // This analysis's counts, folded into the shared totals once at the
+  // end.
+  Counters counters;
   QueryAnalysis out;
   const uint32_t arity = p.predicate(pred).arity;
   // Synthesise a display literal from the pre-interned variables (the
@@ -634,10 +589,10 @@ QueryAnalysis SafetyAnalyzer::AnalyzePredicate(const AnalysisSnapshot& snap,
           // reason reconstructs from the verdict bit-identically.
           v.stop = hit->verdict == Safety::kUndecided ? StopReason::kBudget
                                                       : StopReason::kNone;
-          counters.cache_hits.fetch_add(1, std::memory_order_relaxed);
+          ++counters.cache_hits;
           continue;
         }
-        counters.cache_misses.fetch_add(1, std::memory_order_relaxed);
+        ++counters.cache_misses;
       }
       searches.push_back(std::move(job));
     }
@@ -645,8 +600,7 @@ QueryAnalysis SafetyAnalyzer::AnalyzePredicate(const AnalysisSnapshot& snap,
 
   // Run the searches — the expensive part — across the pool when asked.
   // Each position gets its own budget and fresh memo table, so every
-  // SubsetResult is independent of scheduling; only the aggregate
-  // steps tally is shared (and atomic).
+  // SubsetResult is independent of scheduling.
   size_t want = snap.options.jobs <= 0
                     ? ThreadPool::DefaultThreads()
                     : static_cast<size_t>(snap.options.jobs);
@@ -657,25 +611,20 @@ QueryAnalysis SafetyAnalyzer::AnalyzePredicate(const AnalysisSnapshot& snap,
     std::vector<std::future<void>> done;
     done.reserve(searches.size());
     for (SearchJob& job : searches) {
-      done.push_back(pool->Submit([&snap, &job, &sopts, &counters] {
+      done.push_back(pool->Submit([&snap, &job, &sopts] {
         job.res = CheckSubsetCondition(snap.system, job.root, sopts);
-        counters.steps.fetch_add(job.res.steps, std::memory_order_relaxed);
       }));
     }
     for (std::future<void>& f : done) f.get();
-    counters.parallel_tasks.fetch_add(searches.size(),
-                                      std::memory_order_relaxed);
+    counters.parallel_tasks = searches.size();
   } else {
     for (SearchJob& job : searches) {
       job.res = CheckSubsetCondition(system, job.root, sopts);
-      counters.steps.fetch_add(job.res.steps, std::memory_order_relaxed);
     }
-    counters.serial_tasks.fetch_add(searches.size(),
-                                    std::memory_order_relaxed);
+    counters.serial_tasks = searches.size();
   }
   if (!searches.empty()) {
-    counters.stage_search_ns.fetch_add(search_timer.LapNs(),
-                                       std::memory_order_relaxed);
+    counters.stage_search_ns = search_timer.LapNs();
   }
 
   // Deterministic merge: verdicts, explanations, and counters are
@@ -736,16 +685,15 @@ QueryAnalysis SafetyAnalyzer::AnalyzePredicate(const AnalysisSnapshot& snap,
       cv.explanation = v.explanation;
       cache->Store(job.key, cv);
     }
-    counters.subset_searches.fetch_add(1, std::memory_order_relaxed);
-    counters.graphs_checked.fetch_add(res.graphs_checked,
-                                      std::memory_order_relaxed);
-    counters.memo_hits.fetch_add(res.memo_hits, std::memory_order_relaxed);
-    counters.memo_misses.fetch_add(res.memo_misses,
-                                   std::memory_order_relaxed);
-    counters.scc_short_circuits.fetch_add(res.scc_short_circuits,
-                                          std::memory_order_relaxed);
+    ++counters.subset_searches;
+    counters.steps += res.steps;
+    counters.graphs_checked += res.graphs_checked;
+    counters.memo_hits += res.memo_hits;
+    counters.memo_misses += res.memo_misses;
+    counters.scc_short_circuits += res.scc_short_circuits;
   }
-  counters.positions_analyzed.fetch_add(arity, std::memory_order_relaxed);
+  counters.positions_analyzed = arity;
+  AtomicMerge(shared_->counters, counters);
 
   bool any_unsafe = false;
   bool any_undecided = false;

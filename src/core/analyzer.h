@@ -1,7 +1,6 @@
 #ifndef HORNSAFE_CORE_ANALYZER_H_
 #define HORNSAFE_CORE_ANALYZER_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -301,6 +300,8 @@ class SafetyAnalyzer {
   /// analyzer (hornsafe_cli --stats). `steps` aggregates the budget
   /// spent by all positions, including ones searched on pool threads;
   /// positions served from the pipeline cache spend nothing here.
+  /// Surface names and fold rules: kAnalyzerCounterTable
+  /// (core/counter_table.h).
   struct Counters {
     uint64_t positions_analyzed = 0;
     uint64_t subset_searches = 0;
@@ -357,42 +358,6 @@ class SafetyAnalyzer {
  private:
   SafetyAnalyzer() = default;
 
-  /// Monotonic counters, accumulated from whichever thread finished the
-  /// work. Individually exact; a concurrent reader may observe fields
-  /// from slightly different instants (they are independent tallies,
-  /// not a torn struct — each field is its own atomic).
-  struct SharedCounters {
-    std::atomic<uint64_t> positions_analyzed{0};
-    std::atomic<uint64_t> subset_searches{0};
-    std::atomic<uint64_t> steps{0};
-    std::atomic<uint64_t> graphs_checked{0};
-    std::atomic<uint64_t> memo_hits{0};
-    std::atomic<uint64_t> memo_misses{0};
-    std::atomic<uint64_t> scc_short_circuits{0};
-    std::atomic<uint64_t> parallel_tasks{0};
-    std::atomic<uint64_t> serial_tasks{0};
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> cache_misses{0};
-    std::atomic<uint64_t> snapshot_swaps{0};
-    std::atomic<uint64_t> stage_canonicalize_ns{0};
-    std::atomic<uint64_t> stage_fingerprint_ns{0};
-    std::atomic<uint64_t> stage_fd_ns{0};
-    std::atomic<uint64_t> stage_adorn_ns{0};
-    std::atomic<uint64_t> stage_build_ns{0};
-    std::atomic<uint64_t> stage_prune_ns{0};
-    std::atomic<uint64_t> stage_scc_ns{0};
-    std::atomic<uint64_t> stage_search_ns{0};
-    std::atomic<uint64_t> segments_total{0};
-    std::atomic<uint64_t> segments_grafted{0};
-    std::atomic<uint64_t> segment_grafts_rejected{0};
-    std::atomic<uint64_t> segments_encoded{0};
-    std::atomic<uint64_t> nodes_shared{0};
-    std::atomic<uint64_t> nodes_owned{0};
-    /// Gauges, maintained with compare-exchange max (not fetch_add).
-    std::atomic<uint64_t> node_table_peak_nodes{0};
-    std::atomic<uint64_t> node_table_peak_bytes{0};
-  };
-
   /// Everything that outlives snapshot swaps and analyzer moves:
   /// mutexes are not movable, so the analyzer owns this block through a
   /// shared_ptr and stays cheaply movable.
@@ -409,7 +374,10 @@ class SafetyAnalyzer {
     /// Default exec for the legacy entry points (set_exec).
     std::mutex exec_mu;
     ExecContext default_exec;
-    SharedCounters counters;
+    /// Cumulative counters, shared by every thread that finished some
+    /// work. Read and written only through AtomicLoad / AtomicMerge
+    /// (core/counter_table.h), so each field is exact without a lock.
+    Counters counters;
   };
 
   /// Runs the full (polynomial) pipeline for `program`, probing the

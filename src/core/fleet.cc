@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "core/analyzer.h"
+#include "core/counter_table.h"
 #include "parser/parser.h"
 #include "util/fault.h"
 #include "util/proc.h"
@@ -72,12 +73,7 @@ struct WorkerSlot {
 struct WorkerSummary {
   PipelineCacheStats cache;
   uint64_t faults_injected = 0;
-  bool seen = false;
 };
-
-uint64_t SumField(const Json& obj, const char* key) {
-  return static_cast<uint64_t>(obj[key].AsInt());
-}
 
 }  // namespace
 
@@ -103,19 +99,10 @@ Json FleetReport::ToJson() const {
   j.Set("analyzed", analyzed);
   j.Set("errors", errors);
   j.Set("wall_seconds", wall_seconds);
-  Json cache = Json::Object();
-  cache.Set("verdict_hits", verdict_hits);
-  cache.Set("verdict_misses", verdict_misses);
-  cache.Set("verdict_hit_rate", verdict_hit_rate);
-  cache.Set("cross_program_hits", verdict_hits);
-  cache.Set("disk_hits", disk_hits);
-  cache.Set("disk_misses", disk_misses);
-  cache.Set("disk_corrupt", disk_corrupt);
-  cache.Set("disk_write_skips", disk_write_skips);
-  cache.Set("disk_read_failures", disk_read_failures);
-  cache.Set("stale_leases_recovered", stale_leases_recovered);
-  cache.Set("manifest_rollbacks", manifest_rollbacks);
-  j.Set("cache", std::move(cache));
+  Json cache_json = hornsafe::ToJson(cache);
+  cache_json.Set("verdict_hit_rate", verdict_hit_rate);
+  cache_json.Set("cross_program_hits", verdict_hits);
+  j.Set("cache", std::move(cache_json));
   Json faults = Json::Object();
   faults.Set("injected", faults_injected);
   faults.Set("worker_crashes", worker_crashes);
@@ -222,21 +209,9 @@ bool HarvestWorkerOutput(const std::string& out_file, int worker_index,
     const Json& j = parsed.value();
     if (j["done"].AsBool()) {
       done = true;
-      summary->seen = true;
-      const Json& cache = j["cache"];
-      summary->cache.verdict_hits += SumField(cache, "verdict_hits");
-      summary->cache.verdict_misses += SumField(cache, "verdict_misses");
-      summary->cache.disk_hits += SumField(cache, "disk_hits");
-      summary->cache.disk_misses += SumField(cache, "disk_misses");
-      summary->cache.disk_corrupt += SumField(cache, "disk_corrupt");
-      summary->cache.disk_write_skips += SumField(cache, "disk_write_skips");
-      summary->cache.disk_read_failures +=
-          SumField(cache, "disk_read_failures");
-      summary->cache.stale_leases_recovered +=
-          SumField(cache, "stale_leases_recovered");
-      summary->cache.manifest_rollbacks +=
-          SumField(cache, "manifest_rollbacks");
-      summary->faults_injected += SumField(j["faults"], "injected");
+      Merge(summary->cache, FromJson<PipelineCacheStats>(j["cache"]));
+      summary->faults_injected +=
+          static_cast<uint64_t>(j["faults"]["injected"].AsInt());
       continue;
     }
     if (!j.Has("path")) continue;
@@ -401,18 +376,18 @@ Result<FleetReport> RunFleet(const FleetOptions& options) {
     }
   }
   for (const WorkerSummary& s : summaries) {
-    if (!s.seen) continue;
-    report.verdict_hits += s.cache.verdict_hits;
-    report.verdict_misses += s.cache.verdict_misses;
-    report.disk_hits += s.cache.disk_hits;
-    report.disk_misses += s.cache.disk_misses;
-    report.disk_corrupt += s.cache.disk_corrupt;
-    report.disk_write_skips += s.cache.disk_write_skips;
-    report.disk_read_failures += s.cache.disk_read_failures;
-    report.stale_leases_recovered += s.cache.stale_leases_recovered;
-    report.manifest_rollbacks += s.cache.manifest_rollbacks;
+    Merge(report.cache, s.cache);
     report.faults_injected += s.faults_injected;
   }
+  report.verdict_hits = report.cache.verdict_hits;
+  report.verdict_misses = report.cache.verdict_misses;
+  report.disk_hits = report.cache.disk_hits;
+  report.disk_misses = report.cache.disk_misses;
+  report.disk_corrupt = report.cache.disk_corrupt;
+  report.disk_write_skips = report.cache.disk_write_skips;
+  report.disk_read_failures = report.cache.disk_read_failures;
+  report.stale_leases_recovered = report.cache.stale_leases_recovered;
+  report.manifest_rollbacks = report.cache.manifest_rollbacks;
   uint64_t looked = report.verdict_hits + report.verdict_misses;
   report.verdict_hit_rate =
       looked > 0 ? static_cast<double>(report.verdict_hits) /
@@ -513,20 +488,9 @@ int FleetWorkerMain(const std::string& shard_file,
 
   // Final summary line: this worker's cache and fault picture. Its
   // absence is how the driver detects a crash.
-  PipelineCacheStats stats = cache.stats();
   Json summary = Json::Object();
   summary.Set("done", true);
-  Json cache_json = Json::Object();
-  cache_json.Set("verdict_hits", stats.verdict_hits);
-  cache_json.Set("verdict_misses", stats.verdict_misses);
-  cache_json.Set("disk_hits", stats.disk_hits);
-  cache_json.Set("disk_misses", stats.disk_misses);
-  cache_json.Set("disk_corrupt", stats.disk_corrupt);
-  cache_json.Set("disk_write_skips", stats.disk_write_skips);
-  cache_json.Set("disk_read_failures", stats.disk_read_failures);
-  cache_json.Set("stale_leases_recovered", stats.stale_leases_recovered);
-  cache_json.Set("manifest_rollbacks", stats.manifest_rollbacks);
-  summary.Set("cache", std::move(cache_json));
+  summary.Set("cache", ToJson(cache.stats()));
   FaultInjector::Counters fc = FaultInjector::Global().counters();
   uint64_t injected = 0;
   for (uint64_t v : fc.injected) injected += v;

@@ -75,11 +75,15 @@ struct FleetReport {
   uint64_t errors = 0;
   double wall_seconds = 0;
 
-  // Cache stats summed across workers. In a cold fleet run every
-  // verdict-tier hit is a cross-program hit by construction: each
-  // program is analyzed exactly once, so its own stores cannot feed
-  // its own lookups — only another program's (same or different
-  // worker; disk_hits isolates the cross-*process* share).
+  /// Cache stats folded across worker summaries (kCacheCounterTable's
+  /// rules: tallies summed, the manifest generation maxed). In a cold
+  /// fleet run every verdict-tier hit is a cross-program hit by
+  /// construction: each program is analyzed exactly once, so its own
+  /// stores cannot feed its own lookups — only another program's (same
+  /// or different worker; disk_hits isolates the cross-*process*
+  /// share).
+  PipelineCacheStats cache;
+  // Copies of `cache` fields, kept flat for existing readers.
   uint64_t verdict_hits = 0;
   uint64_t verdict_misses = 0;
   uint64_t disk_hits = 0;

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "core/counter_table.h"
 #include "lang/struct_hash.h"
 #include "util/fault.h"
 #include "util/proc.h"
@@ -318,7 +319,7 @@ std::optional<CachedVerdict> PipelineCache::Lookup(const CacheKey& key) {
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      ++shard.hits;
+      ++shard.counts.verdict_hits;
       return it->second->verdict;
     }
   }
@@ -326,7 +327,7 @@ std::optional<CachedVerdict> PipelineCache::Lookup(const CacheKey& key) {
     std::optional<CachedVerdict> from_disk = DiskLookup(key);
     if (from_disk) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      ++shard.hits;
+      ++shard.counts.verdict_hits;
       if (shard.index.find(key) == shard.index.end()) {
         InsertLocked(shard, key, *from_disk);
       }
@@ -334,7 +335,7 @@ std::optional<CachedVerdict> PipelineCache::Lookup(const CacheKey& key) {
     }
   }
   std::lock_guard<std::mutex> lock(shard.mu);
-  ++shard.misses;
+  ++shard.counts.verdict_misses;
   return std::nullopt;
 }
 
@@ -348,7 +349,7 @@ void PipelineCache::Store(const CacheKey& key, const CachedVerdict& verdict) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
       InsertLocked(shard, key, verdict);
-      ++shard.insertions;
+      ++shard.counts.verdict_insertions;
     }
   }
   if (!options_.dir.empty()) DiskStore(key, verdict);
@@ -361,7 +362,7 @@ void PipelineCache::InsertLocked(Shard& shard, const CacheKey& key,
   while (shard.lru.size() > shard_capacity_) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
-    ++shard.evictions;
+    ++shard.counts.verdict_evictions;
   }
 }
 
@@ -835,11 +836,11 @@ std::shared_ptr<const NodeTableSegment> PipelineCache::LookupSegment(
   std::lock_guard<std::mutex> lock(segment_mu_);
   auto it = segment_index_.find(key);
   if (it == segment_index_.end()) {
-    ++segment_misses_;
+    ++segment_stats_.segment_misses;
     return nullptr;
   }
   segments_.splice(segments_.begin(), segments_, it->second);
-  ++segment_hits_;
+  ++segment_stats_.segment_hits;
   return segments_.front().second;
 }
 
@@ -857,11 +858,11 @@ std::shared_ptr<const NodeTableSegment> PipelineCache::StoreSegment(
   }
   segments_.emplace_front(key, std::move(segment));
   segment_index_[key] = segments_.begin();
-  ++segment_insertions_;
+  ++segment_stats_.segment_insertions;
   while (segments_.size() > kMaxSegmentEntries) {
     segment_index_.erase(segments_.back().first);
     segments_.pop_back();
-    ++segment_evictions_;
+    ++segment_stats_.segment_evictions;
   }
   return segments_.front().second;
 }
@@ -879,10 +880,7 @@ PipelineCacheStats PipelineCache::stats() const {
   }
   {
     std::lock_guard<std::mutex> lock(segment_mu_);
-    out.segment_hits = segment_hits_;
-    out.segment_misses = segment_misses_;
-    out.segment_insertions = segment_insertions_;
-    out.segment_evictions = segment_evictions_;
+    Merge(out, segment_stats_);
   }
   {
     FdClosureCache::Stats fd = fd_closures_.stats();
@@ -899,10 +897,7 @@ PipelineCacheStats PipelineCache::stats() const {
   // lookup may land before or after it, same as with one global lock.
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    out.verdict_hits += shard.hits;
-    out.verdict_misses += shard.misses;
-    out.verdict_insertions += shard.insertions;
-    out.verdict_evictions += shard.evictions;
+    Merge(out, shard.counts);
   }
   return out;
 }

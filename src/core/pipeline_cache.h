@@ -60,6 +60,8 @@ struct CachedVerdict {
 };
 
 /// Hit/miss/eviction accounting across every tier (CLI `--stats`).
+/// Surface names and fold rules: kCacheCounterTable
+/// (core/counter_table.h).
 struct PipelineCacheStats {
   uint64_t verdict_hits = 0;
   uint64_t verdict_misses = 0;
@@ -355,10 +357,8 @@ class PipelineCache {
     mutable std::mutex mu;
     Lru lru;  // front = most recently used
     std::unordered_map<CacheKey, Lru::iterator, CacheKeyHash> index;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
+    /// Only the verdict_* fields are used.
+    PipelineCacheStats counts;
   };
 
   Shard& ShardFor(const CacheKey& key) {
@@ -412,8 +412,8 @@ class PipelineCache {
   /// Guards the artifact tiers and the non-verdict counters (disk,
   /// invalidation, canon/emptiness). Never held during disk I/O.
   mutable std::mutex misc_mu_;
-  /// Only the non-verdict fields are used; `stats()` overlays the
-  /// verdict fields from the shards.
+  /// Only the non-verdict, non-segment fields are used; `stats()`
+  /// merges in the shards' and the segment tier's counts.
   PipelineCacheStats misc_stats_;
 
   /// Small LRUs for whole-pipeline artifacts (strict-hash keyed).
@@ -436,10 +436,8 @@ class PipelineCache {
   SegmentLru segments_;
   std::unordered_map<CacheKey, SegmentLru::iterator, CacheKeyHash>
       segment_index_;
-  uint64_t segment_hits_ = 0;
-  uint64_t segment_misses_ = 0;
-  uint64_t segment_insertions_ = 0;
-  uint64_t segment_evictions_ = 0;
+  /// Only the segment_* fields are used.
+  PipelineCacheStats segment_stats_;
 };
 
 }  // namespace hornsafe

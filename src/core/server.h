@@ -104,9 +104,22 @@ struct ServerOptions {
 ///             the served program, snapshot and caches are untouched,
 ///             so lint traffic can interleave with checks and updates
 ///             at any worker count.
-///   stats     analyzer counters, cache statistics and server request
-///             accounting (one coherent snapshot of the server
-///             counters — never torn values, even mid-traffic).
+///   stats     three objects:
+///
+///               {"analyzer": {...}, "cache": {...},
+///                "server": {"requests": R, "served": S, "errors": E,
+///                           "shed": D, "workers": W}}
+///
+///             "analyzer" (present once a program was installed or
+///             checked) holds the served analyzer's counters plus
+///             those of every finished ephemeral check; "cache"
+///             (present when a cache is configured) holds the pipeline
+///             cache's. Their members are exactly the rows of
+///             kAnalyzerCounterTable and kCacheCounterTable
+///             (core/counter_table.h), in table order — the same
+///             objects `hornsafe check --stats-json` prints. "server"
+///             is one coherent snapshot of the request accounting —
+///             never torn values, even mid-traffic.
 ///   shutdown  acknowledge and stop the serve loop; requests already
 ///             queued behind it are answered with `unavailable`.
 ///
@@ -187,10 +200,6 @@ class Server {
   /// The pointer is stable once set (updates mutate the analyzer's
   /// published snapshot, never the analyzer identity).
   std::shared_ptr<SafetyAnalyzer> served_analyzer() const;
-
-  /// Folds a finished ephemeral (check-with-program) analyzer's
-  /// counters into the server-wide analyzer totals reported by stats.
-  void AccumulateEphemeral(const SafetyAnalyzer::Counters& c);
 
   /// The per-request failure-model context: the request's deadline (or
   /// the server default) plus the server's cancellation token.

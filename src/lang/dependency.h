@@ -22,7 +22,7 @@ struct FiniteDependency {
   AttrSet rhs;
   /// Position of the `.fd` directive (0 = built programmatically).
   /// Metadata only: excluded from equality and structural hashes.
-  SourceSpan span;
+  SourceSpan span{};
 
   bool operator==(const FiniteDependency& o) const {
     return pred == o.pred && lhs == o.lhs && rhs == o.rhs;
@@ -57,7 +57,7 @@ struct MonotonicityConstraint {
   int64_t bound = 0;
   /// Position of the `.mono` directive (0 = built programmatically).
   /// Metadata only: excluded from equality and structural hashes.
-  SourceSpan span;
+  SourceSpan span{};
 
   bool operator==(const MonotonicityConstraint& o) const {
     return pred == o.pred && kind == o.kind && lhs_attr == o.lhs_attr &&

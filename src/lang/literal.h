@@ -20,8 +20,11 @@ struct Literal {
   PredicateId pred = kInvalidPredicate;
   std::vector<TermId> args;
   /// Where the literal was parsed from, if it came from source text.
-  /// Metadata only: excluded from equality and structural hashes.
-  SourceSpan span;
+  /// Metadata only: excluded from equality and structural hashes. The
+  /// default initializer lets `Literal{pred, args}` leave it out
+  /// without a -Wmissing-field-initializers warning (same for the
+  /// other span fields).
+  SourceSpan span{};
 
   bool operator==(const Literal& o) const {
     return pred == o.pred && args == o.args;

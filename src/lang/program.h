@@ -39,7 +39,7 @@ struct PredicateInfo {
   PredicateKind kind = PredicateKind::kFiniteBase;
   /// Source position of the predicate's first occurrence (declaration
   /// or first use); 0 when interned programmatically.
-  SourceSpan span;
+  SourceSpan span{};
 };
 
 /// A complete deductive database: symbol/term pools, predicate metadata,

@@ -17,7 +17,7 @@ struct Rule {
   /// Position of the clause's first token in the source text (0 =
   /// built programmatically). Metadata only: excluded from equality
   /// and structural hashes.
-  SourceSpan span;
+  SourceSpan span{};
 
   bool operator==(const Rule& o) const {
     return head == o.head && body == o.body;

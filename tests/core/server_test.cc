@@ -8,13 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/counter_table.h"
+#include "parser/parser.h"
 #include "util/json.h"
+
+#ifndef HORNSAFE_PROGRAMS_DIR
+#error "HORNSAFE_PROGRAMS_DIR must be defined by the build"
+#endif
 
 namespace hornsafe {
 namespace {
@@ -237,6 +245,96 @@ TEST(ServerTest, StatsReportsCounters) {
   EXPECT_EQ(stats["id"].AsInt(), 5);
   EXPECT_GE(stats["result"]["server"]["requests"].AsInt(), 1);
   EXPECT_GE(stats["result"]["analyzer"]["positions_analyzed"].AsInt(), 1);
+}
+
+std::vector<std::string> MemberNames(const Json& obj) {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : obj.members()) out.push_back(key);
+  return out;
+}
+
+template <typename S>
+std::vector<std::string> TableNames(std::span<const CounterField<S>> table) {
+  std::vector<std::string> out;
+  for (const CounterField<S>& f : table) out.push_back(f.name);
+  return out;
+}
+
+std::string ReadProgram(const char* name) {
+  std::ifstream in(std::string(HORNSAFE_PROGRAMS_DIR) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(ServerTest, StatsObjectsCarryExactlyTheCounterTableRows) {
+  PipelineCache cache;
+  ServerOptions opts;
+  opts.cache = &cache;
+  Server server(opts);
+  Json update = Json::Object();
+  update.Set("id", int64_t{1});
+  update.Set("method", "update");
+  update.Set("program", ReadProgram("ancestor.hs"));
+  ASSERT_TRUE(MustParseReply(server.HandleLine(update.Dump()))["ok"]
+                  .AsBool());
+  ASSERT_TRUE(MustParseReply(server.HandleLine(
+                  "{\"id\": 2, \"method\": \"check\"}"))["ok"]
+                  .AsBool());
+  Json stats = MustParseReply(
+      server.HandleLine("{\"id\": 3, \"method\": \"stats\"}"));
+  ASSERT_TRUE(stats["ok"].AsBool()) << stats.Dump();
+  EXPECT_EQ(MemberNames(stats["result"]["analyzer"]),
+            TableNames(CounterTable(AnalyzerCounters{})));
+  EXPECT_EQ(MemberNames(stats["result"]["cache"]),
+            TableNames(CounterTable(CacheCounters{})));
+}
+
+TEST(ServerTest, StatsFoldsEphemeralChecksByTheTableRules) {
+  // Two ephemeral checks — the wide one fans out (parallel tasks), the
+  // narrow one runs serially — then the same two analyses replayed on
+  // a fresh cache give the expected per-check counters.
+  PipelineCache cache;
+  ServerOptions opts;
+  opts.cache = &cache;
+  opts.analyzer.jobs = 2;
+  Server server(opts);
+  const std::vector<std::string> programs = {kHardProgram, kSafeProgram};
+  for (size_t i = 0; i < programs.size(); ++i) {
+    Json reply = MustParseReply(server.HandleLine(
+        CheckRequest(static_cast<int>(i), programs[i])));
+    ASSERT_TRUE(reply["ok"].AsBool()) << reply.Dump();
+  }
+  Json stats = MustParseReply(
+      server.HandleLine("{\"id\": 9, \"method\": \"stats\"}"));
+  const Json& got = stats["result"]["analyzer"];
+
+  PipelineCache replay_cache;
+  AnalyzerOptions aopts = opts.analyzer;
+  aopts.cache = &replay_cache;
+  std::vector<AnalyzerCounters> runs;
+  for (const std::string& text : programs) {
+    Result<Program> program = ParseProgram(text);
+    ASSERT_TRUE(program.ok());
+    Result<SafetyAnalyzer> analyzer = SafetyAnalyzer::Create(*program, aopts);
+    ASSERT_TRUE(analyzer.ok());
+    analyzer->AnalyzeQueries();
+    runs.push_back(analyzer->counters());
+  }
+  ASSERT_GT(runs[0].parallel_tasks, 0u);
+  ASSERT_GT(runs[1].serial_tasks, 0u);
+
+  for (const CounterField<AnalyzerCounters>& f : kAnalyzerCounterTable) {
+    ASSERT_TRUE(got.Has(f.name)) << f.name;
+    // Wall clocks differ between the two runs; every other row is
+    // deterministic.
+    std::string name = f.name;
+    if (name.size() > 3 && name.substr(name.size() - 3) == "_ns") continue;
+    const uint64_t a = runs[0].*f.field;
+    const uint64_t b = runs[1].*f.field;
+    const uint64_t want = f.fold == Fold::kSum ? a + b : std::max(a, b);
+    EXPECT_EQ(static_cast<uint64_t>(got[f.name].AsInt()), want) << f.name;
+  }
 }
 
 TEST(ServerTest, ServeLoopRepliesOncePerLineAndStopsOnShutdown) {
