@@ -130,42 +130,33 @@ void BM_IndexedJoinAblation(benchmark::State& state) {
 BENCHMARK(BM_IndexedJoinAblation)->ArgsProduct({{64, 128, 256}, {0, 1}});
 
 void BM_ParallelTransitiveClosure(benchmark::State& state) {
-  // The headline parallel workload: transitive closure of a chain, the
-  // same shape as the acceptance experiment, across worker counts.
-  // Every job count must derive the same tuple set; the recorded
-  // per-evaluation seconds feed EXPERIMENTS.md via BENCH_evaluation.json.
+  // Transitive closure of a chain (EXPERIMENTS.md E21); the recorded
+  // per-evaluation seconds feed EXPERIMENTS.md via
+  // BENCH_evaluation.json.
   int n = static_cast<int>(state.range(0));
-  int jobs = static_cast<int>(state.range(1));
   double total_seconds = 0;
   uint64_t tuples = 0;
-  uint64_t parallel_tasks = 0;
   for (auto _ : state) {
     state.PauseTiming();
     Program p = bench::ChainGraph(n);
     BuiltinRegistry registry;
-    BottomUpOptions opts;
-    opts.jobs = jobs;
     state.ResumeTiming();
     auto start = std::chrono::steady_clock::now();
-    BottomUpEvaluator eval(&p, &registry, opts);
+    BottomUpEvaluator eval(&p, &registry);
     Status st = eval.Run();
     total_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
     tuples = eval.stats().tuples_derived;
-    parallel_tasks = eval.stats().parallel_tasks;
     benchmark::DoNotOptimize(st);
   }
   state.counters["tuples"] = static_cast<double>(tuples);
-  state.counters["parallel_tasks"] = static_cast<double>(parallel_tasks);
   bench::JsonDump::Get("evaluation")
-      .Record(StrCat("parallel_tc/n=", n, "/jobs=", jobs),
-              "seconds_per_eval",
+      .Record(StrCat("parallel_tc/n=", n), "seconds_per_eval",
               total_seconds / static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_ParallelTransitiveClosure)
-    ->ArgsProduct({{128, 256}, {1, 2, 4, 8}});
+BENCHMARK(BM_ParallelTransitiveClosure)->Arg(128)->Arg(256);
 
 void BM_BuiltinSuccessorEnumerate(benchmark::State& state) {
   Program p;

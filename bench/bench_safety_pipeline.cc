@@ -84,26 +84,23 @@ Program WideDiamondRing(int m) {
   return bench::MustParse(text);
 }
 
-void BM_PipelineWideJobs(benchmark::State& state) {
-  const int jobs = static_cast<int>(state.range(0));
+void BM_PipelineWide(benchmark::State& state) {
   Program p = WideDiamondRing(8);
-  AnalyzerOptions opts;
-  opts.jobs = jobs;
   double seconds = 0;
   for (auto _ : state) {
     auto t0 = std::chrono::steady_clock::now();
-    auto analyzer = SafetyAnalyzer::Create(p, opts);
+    auto analyzer = SafetyAnalyzer::Create(p);
     benchmark::DoNotOptimize(analyzer->AnalyzeQueries());
     seconds += std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - t0)
                    .count();
   }
-  auto analyzer = SafetyAnalyzer::Create(p, opts);
+  auto analyzer = SafetyAnalyzer::Create(p);
   analyzer->AnalyzeQueries();
   SafetyAnalyzer::Counters c = analyzer->counters();
   state.counters["steps"] = static_cast<double>(c.steps);
   bench::JsonDump& dump = bench::JsonDump::Get("safety");
-  std::string name = StrCat("pipeline_wide/jobs=", jobs);
+  const std::string name = "pipeline_wide";
   dump.Record(name, "seconds_per_analysis",
               seconds / static_cast<double>(state.iterations()));
   for (const CounterField<SafetyAnalyzer::Counters>& f :
@@ -111,7 +108,7 @@ void BM_PipelineWideJobs(benchmark::State& state) {
     dump.Record(name, f.name, static_cast<double>(c.*f.field));
   }
 }
-BENCHMARK(BM_PipelineWideJobs)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_PipelineWide);
 
 void BM_PipelineCreateOnly(benchmark::State& state) {
   // Pipeline construction (no queries): parse-to-pruned-system.

@@ -1,7 +1,7 @@
 // Concurrent-serve throughput: W client threads hammer one Server's
 // `HandleLine` (the exact entry point `Serve`'s workers call, minus the
 // request queue — so the numbers isolate the analysis path, not stdin
-// framing) over a jobs x workers grid and two traffic shapes:
+// framing) over a workers grid and two traffic shapes:
 //
 //   * check_only — targeted checks (plus some explains) against the
 //     preloaded modular program; the read path the snapshot split is
@@ -90,7 +90,7 @@ struct RunResult {
 /// write-through fsyncs are exactly the stalls extra workers overlap
 /// (every edit mints fresh cone fingerprints, so stores keep happening
 /// all run long).
-RunResult RunWorkload(size_t threads, size_t jobs, bool mixed) {
+RunResult RunWorkload(size_t threads, bool mixed) {
   PipelineCache::Options copts;
   std::string cache_dir;
   if (mixed) {
@@ -103,7 +103,6 @@ RunResult RunWorkload(size_t threads, size_t jobs, bool mixed) {
   }
   PipelineCache cache(copts);
   ServerOptions sopts;
-  sopts.analyzer.jobs = static_cast<int>(jobs);
   sopts.cache = &cache;
   sopts.workers = threads;
   Server server(sopts);
@@ -166,40 +165,35 @@ RunResult RunWorkload(size_t threads, size_t jobs, bool mixed) {
 void BM_ServeThroughput(benchmark::State& state, const char* label,
                         bool mixed) {
   const size_t workers = static_cast<size_t>(state.range(0));
-  const size_t jobs = static_cast<size_t>(state.range(1));
   // Keep the best round: scheduler hiccups only ever make a round
   // slower, so max-rps is the stable, comparable figure for the CI
   // scaling assert.
   RunResult r;
   for (auto _ : state) {
-    RunResult round = RunWorkload(workers, jobs, mixed);
+    RunResult round = RunWorkload(workers, mixed);
     if (round.rps > r.rps) r = round;
   }
   state.counters["rps"] = r.rps;
   state.counters["p99_us"] = r.p99_us;
 
   bench::JsonDump& dump = bench::JsonDump::Get("serve");
-  std::string name =
-      StrCat(label, "/workers=", workers, "/jobs=", jobs);
+  std::string name = StrCat(label, "/workers=", workers);
   dump.Record(name, "rps", r.rps);
   dump.Record(name, "p50_us", r.p50_us);
   dump.Record(name, "p99_us", r.p99_us);
 }
 
-// The workers grid at jobs=1 isolates request-level parallelism; the
-// workers=4/jobs=2 point shows the two axes compose (per-request
-// position fan-out inside each worker's analysis).
+// Request-level parallelism only: each analysis runs serially inside
+// its worker.
 BENCHMARK_CAPTURE(BM_ServeThroughput, check_only, "check_only", false)
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({4, 2})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ServeThroughput, mixed, "mixed", true)
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({4, 2})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

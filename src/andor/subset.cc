@@ -256,7 +256,7 @@ class SubsetSearch {
 
     // Pre-expired deadlines (and already-triggered cancellations) stop
     // before the first step, so every search under them degrades
-    // identically at any job count; only the cheap O(1) short-circuits
+    // identically on every run; only the cheap O(1) short-circuits
     // above still resolve.
     if (StopReason r = opts_.exec.ShouldStop(); r != StopReason::kNone) {
       exhausted_ = true;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
 
 #include "andor/build.h"
 #include "andor/emptiness.h"
@@ -279,7 +278,7 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
   }
   // The condensation depends on the live rule set, so it is computed
   // after pruning and then shared (read-only) by every subset search,
-  // including ones running concurrently on pool threads. On the span
+  // including ones running concurrently on serve workers. On the span
   // path it is stitched from per-span slices — grafted spans replay
   // the slice stored with their segment, fresh spans compute theirs —
   // which is bit-identical to the global computation (scc.h). Any
@@ -499,17 +498,6 @@ SubsetOptions SafetyAnalyzer::MakeSubsetOptions(const AnalysisSnapshot& snap,
   return opts;
 }
 
-std::shared_ptr<ThreadPool> SafetyAnalyzer::Pool(size_t threads) {
-  std::lock_guard<std::mutex> lock(shared_->pool_mu);
-  if (!shared_->pool || shared_->pool->num_threads() < threads) {
-    // Grow-only replacement: an analysis mid-flight on the old pool
-    // holds its own shared_ptr copy, so the old workers drain and join
-    // only after the last user releases it.
-    shared_->pool = std::make_shared<ThreadPool>(threads);
-  }
-  return shared_->pool;
-}
-
 SafetyAnalyzer::Counters SafetyAnalyzer::counters() const {
   return AtomicLoad(shared_->counters);
 }
@@ -598,37 +586,18 @@ QueryAnalysis SafetyAnalyzer::AnalyzePredicate(const AnalysisSnapshot& snap,
     }
   }
 
-  // Run the searches — the expensive part — across the pool when asked.
-  // Each position gets its own budget and fresh memo table, so every
-  // SubsetResult is independent of scheduling.
-  size_t want = snap.options.jobs <= 0
-                    ? ThreadPool::DefaultThreads()
-                    : static_cast<size_t>(snap.options.jobs);
+  // Run the searches — the expensive part — in position order. Each
+  // position gets its own budget and fresh memo table, so every
+  // SubsetResult depends only on the snapshot and that position.
   StageTimer search_timer;
-  if (want > 1 && searches.size() > 1) {
-    std::shared_ptr<ThreadPool> pool =
-        Pool(std::min(want, searches.size()));
-    std::vector<std::future<void>> done;
-    done.reserve(searches.size());
-    for (SearchJob& job : searches) {
-      done.push_back(pool->Submit([&snap, &job, &sopts] {
-        job.res = CheckSubsetCondition(snap.system, job.root, sopts);
-      }));
-    }
-    for (std::future<void>& f : done) f.get();
-    counters.parallel_tasks = searches.size();
-  } else {
-    for (SearchJob& job : searches) {
-      job.res = CheckSubsetCondition(system, job.root, sopts);
-    }
-    counters.serial_tasks = searches.size();
+  for (SearchJob& job : searches) {
+    job.res = CheckSubsetCondition(system, job.root, sopts);
   }
   if (!searches.empty()) {
     counters.stage_search_ns = search_timer.LapNs();
   }
 
-  // Deterministic merge: verdicts, explanations, and counters are
-  // folded in position order on this thread.
+  // Merge: verdicts, explanations and counters, in position order.
   for (const SearchJob& job : searches) {
     ArgumentVerdict& v = verdicts[job.position];
     const SubsetResult& res = job.res;

@@ -19,7 +19,6 @@
 #include "lang/program.h"
 #include "util/deadline.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace hornsafe {
 
@@ -41,7 +40,8 @@ struct AnalyzerOptions {
   /// Canonicalization options (Algorithm 1).
   CanonicalizeOptions canonicalize;
   /// DFS budget for the subset-condition search, applied *per argument
-  /// position* so verdicts do not depend on scheduling.
+  /// position* so a verdict does not depend on the other positions (or
+  /// on which of them the cache served).
   uint64_t subset_budget = 5'000'000;
   /// Failure-model context: a wall-clock deadline plus an optional
   /// cancellation token, checked cooperatively by the pipeline build
@@ -55,11 +55,7 @@ struct AnalyzerOptions {
   /// with `set_exec`. Not part of the cache context hash (a cached
   /// verdict is valid under any deadline).
   ExecContext exec;
-  /// Worker threads for fanning per-argument-position subset searches
-  /// across the pool: 1 = serial (default), 0 = hardware default.
-  /// Verdicts and explanations are identical at every job count — each
-  /// position searches under its own deterministic budget and a fresh
-  /// memo table, and results are merged in position order.
+  /// Ignored (searches run serially); kept because hsbench sets it.
   int jobs = 1;
   /// Cross-query pipeline cache (not owned; may outlive any number of
   /// analyzers and be shared between them — including between worker
@@ -80,7 +76,7 @@ struct ArgumentVerdict {
   /// For undecided positions: why the search stopped (budget, deadline
   /// or cancellation). kNone for decided positions. Deterministic for
   /// kBudget and for deadlines already expired at analysis start;
-  /// mid-search expiry may degrade a scheduling-dependent subset of
+  /// mid-search expiry may degrade a timing-dependent subset of
   /// positions (each still carries the correct reason).
   StopReason stop = StopReason::kNone;
   /// For unsafe positions: a rendering of the counterexample AND-graph;
@@ -298,8 +294,8 @@ class SafetyAnalyzer {
 
   /// Cumulative search counters across every analysis run on this
   /// analyzer (hornsafe_cli --stats). `steps` aggregates the budget
-  /// spent by all positions, including ones searched on pool threads;
-  /// positions served from the pipeline cache spend nothing here.
+  /// spent by all positions; positions served from the pipeline cache
+  /// spend nothing here.
   /// Surface names and fold rules: kAnalyzerCounterTable
   /// (core/counter_table.h).
   struct Counters {
@@ -310,8 +306,8 @@ class SafetyAnalyzer {
     uint64_t memo_hits = 0;
     uint64_t memo_misses = 0;
     uint64_t scc_short_circuits = 0;
+    /// Always 0 (searches run serially); kept because hsbench reads it.
     uint64_t parallel_tasks = 0;
-    uint64_t serial_tasks = 0;
     /// Positions served from / missed in the pipeline cache (0 when no
     /// cache is configured).
     uint64_t cache_hits = 0;
@@ -368,9 +364,6 @@ class SafetyAnalyzer {
     std::shared_ptr<const AnalysisSnapshot> snapshot;
     /// Serializes Updates: one builder at a time, readers undisturbed.
     std::mutex update_mu;
-    /// Guards lazy creation/growth of the search fan-out pool.
-    std::mutex pool_mu;
-    std::shared_ptr<ThreadPool> pool;
     /// Default exec for the legacy entry points (set_exec).
     std::mutex exec_mu;
     ExecContext default_exec;
@@ -387,10 +380,6 @@ class SafetyAnalyzer {
 
   static SubsetOptions MakeSubsetOptions(const AnalysisSnapshot& snap,
                                          const ExecContext& exec);
-
-  /// The fan-out pool, created on first parallel analysis; grow-only
-  /// (an in-flight analysis keeps its pinned pool alive).
-  std::shared_ptr<ThreadPool> Pool(size_t threads);
 
   const AnalysisSnapshot& snapshot_ref() const;
   ExecContext default_exec() const;

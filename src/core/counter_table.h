@@ -35,7 +35,8 @@ struct CounterField {
 using AnalyzerCounters = SafetyAnalyzer::Counters;
 using CacheCounters = PipelineCacheStats;
 
-// The pinned-at-0 fragment fields are left out: they are never rendered.
+// The pinned-at-0 fragment and parallel_tasks fields are left out: they
+// are never rendered.
 inline constexpr CounterField<AnalyzerCounters> kAnalyzerCounterTable[] = {
     {"positions_analyzed", &AnalyzerCounters::positions_analyzed},
     {"subset_searches", &AnalyzerCounters::subset_searches},
@@ -44,8 +45,6 @@ inline constexpr CounterField<AnalyzerCounters> kAnalyzerCounterTable[] = {
     {"memo_hits", &AnalyzerCounters::memo_hits},
     {"memo_misses", &AnalyzerCounters::memo_misses},
     {"scc_short_circuits", &AnalyzerCounters::scc_short_circuits},
-    {"parallel_tasks", &AnalyzerCounters::parallel_tasks},
-    {"serial_tasks", &AnalyzerCounters::serial_tasks},
     {"cache_hits", &AnalyzerCounters::cache_hits},
     {"cache_misses", &AnalyzerCounters::cache_misses},
     {"snapshot_swaps", &AnalyzerCounters::snapshot_swaps},

@@ -173,9 +173,8 @@ bool LaunchWorker(const FleetOptions& options, const std::string& exe,
       out << rel << "\t" << (corpus_root / rel).string() << "\n";
     }
   }
-  std::vector<std::string> argv = {exe,     "fleet-worker", "--shard",
-                                   shard_file, "--out",     out_file,
-                                   "--jobs", StrCat(options.jobs)};
+  std::vector<std::string> argv = {exe,        "fleet-worker", "--shard",
+                                   shard_file, "--out",        out_file};
   if (!options.cache_dir.empty()) {
     argv.push_back("--cache-dir");
     argv.push_back(options.cache_dir);
@@ -414,7 +413,7 @@ Result<FleetReport> RunFleet(const FleetOptions& options) {
 
 int FleetWorkerMain(const std::string& shard_file,
                     const std::string& out_file,
-                    const std::string& cache_dir, int jobs,
+                    const std::string& cache_dir,
                     const ProgramLoader& loader) {
   int out_fd =
       ::open(out_file.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
@@ -465,7 +464,6 @@ int FleetWorkerMain(const std::string& shard_file,
       continue;
     }
     AnalyzerOptions aopts;
-    aopts.jobs = jobs;
     aopts.cache = &cache;
     auto analyzer = SafetyAnalyzer::Create(program.value(), aopts);
     if (!analyzer.ok()) {

@@ -31,7 +31,7 @@ struct FleetOptions {
   std::string cache_dir;
   /// Worker processes (clamped to [1, 256] and the corpus size).
   int procs = 1;
-  /// Analyzer threads per worker.
+  /// Ignored (workers analyze serially); kept because hsbench sets it.
   int jobs = 1;
   /// Worker executable; empty = this binary (/proc/self/exe). Workers
   /// are invoked as `<exe> fleet-worker --shard F --out F ...`.
@@ -133,7 +133,7 @@ using ProgramLoader =
 /// ParseProgram).
 int FleetWorkerMain(const std::string& shard_file,
                     const std::string& out_file,
-                    const std::string& cache_dir, int jobs,
+                    const std::string& cache_dir,
                     const ProgramLoader& loader);
 
 }  // namespace hornsafe

@@ -19,7 +19,6 @@
 #include "lint/lint.h"
 #include "parser/parser.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace hornsafe {
 namespace {
@@ -138,8 +137,8 @@ Server::Counters Server::counters() const {
 }
 
 size_t Server::workers() const {
-  return options_.workers == 0 ? ThreadPool::DefaultThreads()
-                               : options_.workers;
+  if (options_.workers != 0) return options_.workers;
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 
 std::shared_ptr<SafetyAnalyzer> Server::served_analyzer() const {
@@ -472,32 +471,43 @@ uint64_t Server::Serve(std::istream& in, std::ostream& out) {
       if (shutdown_requested()) queue.Close();
     }
   };
-  // Scoped to this call: the pool's destructor (below, after the queue
-  // closes) joins every worker loop. Detached submission — the loops
-  // report nothing; completion is the join.
-  auto pool = std::make_unique<ThreadPool>(num_workers);
-  for (size_t w = 0; w < num_workers; ++w) pool->SubmitDetached(worker_loop);
-
-  std::string line;
-  while (!shutdown_requested() && std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (options_.shed_on_overflow) {
-      if (!queue.TryPush(line)) {
-        if (shutdown_requested()) break;
-        emit(ShedReply(line, StrCat("request queue full (",
-                                    options_.max_queue, " in flight)")));
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++counters_.shed;
-        }
-        replies.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      if (!queue.Push(line)) break;  // closed by shutdown
+  std::vector<std::thread> threads;
+  // Closing the queue makes every loop drain it and return. The loops
+  // are joined on every exit, a throw included, so none outlives the
+  // locals it reads.
+  auto close_and_join = [&] {
+    queue.Close();
+    for (std::thread& t : threads) t.join();
+  };
+  try {
+    threads.reserve(num_workers);
+    for (size_t w = 0; w < num_workers; ++w) {
+      threads.emplace_back(worker_loop);
     }
+
+    std::string line;
+    while (!shutdown_requested() && std::getline(in, line)) {
+      if (line.empty()) continue;
+      if (options_.shed_on_overflow) {
+        if (!queue.TryPush(line)) {
+          if (shutdown_requested()) break;
+          emit(ShedReply(line, StrCat("request queue full (",
+                                      options_.max_queue, " in flight)")));
+          {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++counters_.shed;
+          }
+          replies.fetch_add(1, std::memory_order_relaxed);
+        }
+      } else {
+        if (!queue.Push(line)) break;  // closed by shutdown
+      }
+    }
+  } catch (...) {
+    close_and_join();
+    throw;
   }
-  queue.Close();
-  pool.reset();  // drain + join the worker loops
+  close_and_join();
   return replies.load(std::memory_order_relaxed);
 }
 

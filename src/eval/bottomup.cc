@@ -1,8 +1,6 @@
 #include "eval/bottomup.h"
 
-#include <algorithm>
 #include <chrono>
-#include <future>
 #include <unordered_set>
 
 #include "lang/unify.h"
@@ -18,12 +16,6 @@ bool ArgGroundUnderSubst(TermPool& pool, const Substitution& subst,
   TermId applied = ApplySubstitution(pool, subst, arg);
   return pool.IsGround(applied);
 }
-
-/// Shards below this size are not worth a task dispatch.
-constexpr uint32_t kMinShardTuples = 32;
-/// Oversubscription factor: shards per worker, so that fast shards do
-/// not leave workers idle behind one slow shard.
-constexpr uint32_t kShardsPerJob = 4;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -119,32 +111,10 @@ Result<std::vector<size_t>> BottomUpEvaluator::PlanRule(
   return order;
 }
 
-bool BottomUpEvaluator::RuleIsParallelSafe(const Rule& rule) const {
-  const TermPool& terms = program_->terms();
-  // A non-ground function argument can intern a new term when the
-  // substitution instantiates it (ApplySubstitution rebuilds the
-  // node); ground terms and plain variables only walk existing ids.
-  auto arg_ok = [&](TermId a) {
-    return !terms.IsFunction(a) || terms.IsGround(a);
-  };
-  for (TermId a : rule.head.args) {
-    if (!arg_ok(a)) return false;
-  }
-  for (const Literal& lit : rule.body) {
-    // Infinite builtins intern their computed outputs.
-    if (!program_->IsFiniteBase(lit.pred) && !program_->IsDerived(lit.pred)) {
-      return false;
-    }
-    for (TermId a : lit.args) {
-      if (!arg_ok(a)) return false;
-    }
-  }
-  return true;
-}
-
 Status BottomUpEvaluator::EmitHead(const Rule& rule, uint32_t rule_index,
                                    Substitution* subst, EvalContext* ctx) {
-  ++ctx->firings;
+  ++stats_.rule_firings;
+  ++stats_.firings_per_rule[rule_index];
   Tuple head;
   head.reserve(rule.head.args.size());
   for (TermId a : rule.head.args) {
@@ -162,7 +132,7 @@ Status BottomUpEvaluator::EmitHead(const Rule& rule, uint32_t rule_index,
       provenance_.emplace(FactRef{rule.head.pred, head},
                           ProvenanceEntry{rule_index, trail_});
     }
-    ctx->out.push_back(Derivation{rule.head.pred, std::move(head)});
+    ctx->out->push_back(Derivation{rule.head.pred, std::move(head)});
   }
   return Status::Ok();
 }
@@ -212,13 +182,7 @@ Status BottomUpEvaluator::JoinFrom(const Rule& rule, uint32_t rule_index,
 
   if (const Relation* rel = RelationAtStep(rule, order, ctx->delta_index,
                                            step)) {
-    uint32_t lo = 0;
-    uint32_t hi = static_cast<uint32_t>(-1);
-    if (static_cast<int>(step) == ctx->shard_step) {
-      lo = ctx->shard_begin;
-      hi = ctx->shard_end;
-    }
-    return ForEachCandidate(*rel, lit, *subst, lo, hi, try_tuple);
+    return ForEachCandidate(*rel, lit, *subst, try_tuple);
   }
   // Infinite builtin.
   const InfiniteRelation* rel = builtins_->Find(pred);
@@ -244,8 +208,6 @@ template <typename Fn>
 Status BottomUpEvaluator::ForEachCandidate(const Relation& rel,
                                            const Literal& lit,
                                            const Substitution& subst,
-                                           uint32_t range_begin,
-                                           uint32_t range_end,
                                            Fn try_tuple) {
   if (options_.use_index) {
     // Hash-consing makes ground-term equality id equality, so an index
@@ -267,138 +229,39 @@ Status BottomUpEvaluator::ForEachCandidate(const Relation& rel,
       }
     }
     if (best_col >= 0) {
-      const Relation::PostingList& ids =
-          rel.Probe(static_cast<uint32_t>(best_col), best_value);
-      // Posting lists are ascending, so a shard is a subrange.
-      auto it = std::lower_bound(ids.begin(), ids.end(), range_begin);
-      for (; it != ids.end() && *it < range_end; ++it) {
-        HORNSAFE_RETURN_IF_ERROR(try_tuple(rel.At(*it)));
+      for (uint32_t id :
+           rel.Probe(static_cast<uint32_t>(best_col), best_value)) {
+        HORNSAFE_RETURN_IF_ERROR(try_tuple(rel.At(id)));
       }
       return Status::Ok();
     }
   }
-  uint32_t hi = std::min<uint32_t>(range_end,
-                                   static_cast<uint32_t>(rel.size()));
-  for (uint32_t id = range_begin; id < hi; ++id) {
-    HORNSAFE_RETURN_IF_ERROR(try_tuple(rel.At(id)));
+  for (TupleView t : rel) {
+    HORNSAFE_RETURN_IF_ERROR(try_tuple(t));
   }
   return Status::Ok();
 }
 
-Status BottomUpEvaluator::EvalRule(const Rule& rule, uint32_t rule_index,
-                                   const std::vector<size_t>& order,
-                                   EvalContext* ctx) {
-  Substitution subst;
-  return JoinFrom(rule, rule_index, order, 0, &subst, ctx);
-}
-
-void BottomUpEvaluator::AppendWorkItems(uint32_t rule_index,
-                                        const std::vector<size_t>& order,
-                                        bool use_delta,
-                                        std::vector<WorkItem>* items) const {
-  const Rule& rule = program_->rules()[rule_index];
-  auto add = [&](int delta_index, int shard_step) {
-    WorkItem base;
-    base.rule = rule_index;
-    base.delta_index = delta_index;
-    const Relation* rel =
-        shard_step >= 0
-            ? RelationAtStep(rule, order, delta_index,
-                             static_cast<size_t>(shard_step))
-            : nullptr;
-    uint32_t nshards = 1;
-    if (jobs_ > 1 && rel != nullptr) {
-      uint32_t n = static_cast<uint32_t>(rel->size());
-      if (n >= 2 * kMinShardTuples) {
-        nshards = std::min<uint32_t>(
-            static_cast<uint32_t>(jobs_) * kShardsPerJob,
-            n / kMinShardTuples);
-      }
-      if (nshards > 1) {
-        // Even split by dense tuple id; concatenating the shards in
-        // order reproduces the serial enumeration exactly.
-        for (uint32_t s = 0; s < nshards; ++s) {
-          WorkItem item = base;
-          item.shard_step = shard_step;
-          item.shard_begin =
-              static_cast<uint32_t>(uint64_t{n} * s / nshards);
-          item.shard_end =
-              static_cast<uint32_t>(uint64_t{n} * (s + 1) / nshards);
-          items->push_back(item);
-        }
-        return;
-      }
-    }
-    items->push_back(base);
-  };
-
-  if (!use_delta) {
-    add(-1, order.empty() ? -1 : 0);
-    return;
-  }
-  // One evaluation per derived occurrence, reading (and sharding) the
-  // delta there.
-  for (size_t s = 0; s < order.size(); ++s) {
-    if (!program_->IsDerived(rule.body[order[s]].pred)) continue;
-    add(static_cast<int>(s), static_cast<int>(s));
-  }
-}
-
 Status BottomUpEvaluator::RunRound(
-    const std::vector<std::vector<size_t>>& plans,
-    const std::vector<bool>& parallel_safe,
-    const std::vector<WorkItem>& items, std::vector<Derivation>* fresh) {
-  std::vector<EvalContext> ctxs(items.size());
-  std::vector<Status> statuses(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    ctxs[i].delta_index = items[i].delta_index;
-    ctxs[i].shard_step = items[i].shard_step;
-    ctxs[i].shard_begin = items[i].shard_begin;
-    ctxs[i].shard_end = items[i].shard_end;
-  }
-
-  auto eval_item = [&](size_t i) {
-    const WorkItem& item = items[i];
-    statuses[i] = EvalRule(program_->rules()[item.rule], item.rule,
-                           plans[item.rule], &ctxs[i]);
-  };
-
-  if (pool_ != nullptr) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (!parallel_safe[items[i].rule]) continue;
-      ++stats_.parallel_tasks;
-      futures.push_back(pool_->Submit([&eval_item, i] { eval_item(i); }));
+    const std::vector<std::vector<size_t>>& plans, bool use_delta,
+    std::vector<Derivation>* fresh) {
+  const std::vector<Rule>& rules = program_->rules();
+  for (uint32_t r = 0; r < rules.size(); ++r) {
+    const std::vector<size_t>& order = plans[r];
+    auto eval = [&](int delta_index) {
+      EvalContext ctx{fresh, delta_index};
+      Substitution subst;
+      return JoinFrom(rules[r], r, order, 0, &subst, &ctx);
+    };
+    if (!use_delta) {
+      HORNSAFE_RETURN_IF_ERROR(eval(-1));
+      continue;
     }
-    for (std::future<void>& f : futures) f.get();
-    // Rules that may intern terms run here, after the workers are
-    // done, so the term pool only ever has one writer at a time.
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (parallel_safe[items[i].rule]) continue;
-      ++stats_.serial_tasks;
-      eval_item(i);
+    // One evaluation per derived occurrence, reading the delta there.
+    for (size_t s = 0; s < order.size(); ++s) {
+      if (!program_->IsDerived(rules[r].body[order[s]].pred)) continue;
+      HORNSAFE_RETURN_IF_ERROR(eval(static_cast<int>(s)));
     }
-  } else {
-    for (size_t i = 0; i < items.size(); ++i) {
-      ++stats_.serial_tasks;
-      eval_item(i);
-    }
-  }
-
-  for (const Status& st : statuses) {
-    HORNSAFE_RETURN_IF_ERROR(st);
-  }
-  // Merge in item order: the concatenation is byte-identical to the
-  // serial evaluation, so downstream insertion order (and therefore
-  // dense tuple ids, iteration counts, and query output) never depends
-  // on the job count.
-  for (size_t i = 0; i < items.size(); ++i) {
-    stats_.rule_firings += ctxs[i].firings;
-    stats_.firings_per_rule[items[i].rule] += ctxs[i].firings;
-    fresh->insert(fresh->end(),
-                  std::make_move_iterator(ctxs[i].out.begin()),
-                  std::make_move_iterator(ctxs[i].out.end()));
   }
   return Status::Ok();
 }
@@ -413,32 +276,13 @@ Status BottomUpEvaluator::Run() {
     HORNSAFE_ASSIGN_OR_RETURN(std::vector<size_t> plan, PlanRule(rule));
     plans.push_back(std::move(plan));
   }
-  std::vector<bool> parallel_safe(rules.size(), false);
-  for (size_t r = 0; r < rules.size(); ++r) {
-    parallel_safe[r] = RuleIsParallelSafe(rules[r]);
-  }
-
-  jobs_ = options_.track_provenance ? 1 : options_.jobs;
-  if (jobs_ <= 0) jobs_ = static_cast<int>(ThreadPool::DefaultThreads());
-  bool any_parallel =
-      std::any_of(parallel_safe.begin(), parallel_safe.end(),
-                  [](bool b) { return b; });
-  if (jobs_ > 1 && any_parallel && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(jobs_));
-  }
-  if (!any_parallel) jobs_ = 1;
-
   stats_.firings_per_rule.assign(rules.size(), 0);
 
   // Round 0: all rules against the (initially empty) full relations.
   std::vector<Derivation> fresh;
   {
     auto start = std::chrono::steady_clock::now();
-    std::vector<WorkItem> items;
-    for (uint32_t r = 0; r < rules.size(); ++r) {
-      AppendWorkItems(r, plans[r], /*use_delta=*/false, &items);
-    }
-    HORNSAFE_RETURN_IF_ERROR(RunRound(plans, parallel_safe, items, &fresh));
+    HORNSAFE_RETURN_IF_ERROR(RunRound(plans, /*use_delta=*/false, &fresh));
     stats_.round_seconds.push_back(SecondsSince(start));
   }
 
@@ -477,12 +321,8 @@ Status BottomUpEvaluator::Run() {
     }
     fresh.clear();
 
-    std::vector<WorkItem> items;
-    for (uint32_t r = 0; r < rules.size(); ++r) {
-      AppendWorkItems(r, plans[r], /*use_delta=*/options_.semi_naive,
-                      &items);
-    }
-    HORNSAFE_RETURN_IF_ERROR(RunRound(plans, parallel_safe, items, &fresh));
+    HORNSAFE_RETURN_IF_ERROR(
+        RunRound(plans, /*use_delta=*/options_.semi_naive, &fresh));
     stats_.round_seconds.push_back(SecondsSince(start));
   }
   return Status::Ok();

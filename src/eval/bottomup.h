@@ -1,7 +1,6 @@
 #ifndef HORNSAFE_EVAL_BOTTOMUP_H_
 #define HORNSAFE_EVAL_BOTTOMUP_H_
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "lang/unify.h"
 #include "util/deadline.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace hornsafe {
 
@@ -37,19 +35,12 @@ struct BottomUpOptions {
   ExecContext exec;
   /// Record, for every derived tuple, the rule and premise tuples of
   /// its first derivation (why-provenance), enabling `Explain`.
-  /// Forces serial evaluation (jobs is ignored).
   bool track_provenance = false;
   /// Probe joins through lazily built per-column hash indexes instead
   /// of scanning whole relations. Kept as a knob for the ablation
   /// benchmark; leave on.
   bool use_index = true;
-  /// Worker threads for the fixpoint. 1 = serial; 0 = one per hardware
-  /// thread. Results are deterministic and identical across job
-  /// counts: each iteration fans out over (rule, delta-occurrence,
-  /// relation shard) tasks with private output buffers that are merged
-  /// in task order at the iteration barrier. Rules that may intern new
-  /// terms (infinite builtins, non-ground function arguments) always
-  /// run on the driving thread, keeping the term pool single-writer.
+  /// Ignored (evaluation is serial); kept because hsbench sets it.
   int jobs = 1;
 };
 
@@ -63,9 +54,8 @@ struct BottomUpStats {
   std::vector<double> round_seconds;
   /// rule_firings broken down by rule index.
   std::vector<uint64_t> firings_per_rule;
-  /// Tasks executed on pool workers / inline on the driving thread.
+  /// Always 0 (evaluation is serial); kept because hsbench reads it.
   uint64_t parallel_tasks = 0;
-  uint64_t serial_tasks = 0;
 };
 
 /// The historical name of the stats block in docs and issues.
@@ -130,46 +120,17 @@ class BottomUpEvaluator {
   const BottomUpStats& stats() const { return stats_; }
 
  private:
-  /// Per-task evaluation state: a private output buffer plus the
-  /// delta/shard coordinates of the task. Workers never touch shared
-  /// evaluator state; everything here is merged at the barrier.
+  /// State of one rule evaluation: where derivations go and which
+  /// plan position reads the delta relation (-1 reads full relations
+  /// everywhere).
   struct EvalContext {
-    std::vector<Derivation> out;
-    uint64_t firings = 0;
-    /// Position in the plan order reading the delta relation; -1 reads
-    /// full relations everywhere.
+    std::vector<Derivation>* out = nullptr;
     int delta_index = -1;
-    /// Position in the plan order whose candidate tuples are
-    /// restricted to dense ids [shard_begin, shard_end); -1 = no
-    /// restriction.
-    int shard_step = -1;
-    uint32_t shard_begin = 0;
-    uint32_t shard_end = 0;
-  };
-
-  /// One schedulable unit of an evaluation round.
-  struct WorkItem {
-    uint32_t rule = 0;
-    int delta_index = -1;
-    int shard_step = -1;
-    uint32_t shard_begin = 0;
-    uint32_t shard_end = 0;
   };
 
   /// Chooses an evaluation order for the body of `rule` such that every
   /// infinite occurrence is reached with a supported binding pattern.
   Result<std::vector<size_t>> PlanRule(const Rule& rule) const;
-
-  /// True when evaluating `rule` can never intern new terms: no
-  /// infinite builtins in the body and every head/body argument is a
-  /// plain variable or already-ground term. Such rules may run on pool
-  /// workers, which only ever read the term pool.
-  bool RuleIsParallelSafe(const Rule& rule) const;
-
-  /// Evaluates `rule` under `ctx` (delta position + shard already set);
-  /// derivations and firing counts land in `ctx`.
-  Status EvalRule(const Rule& rule, uint32_t rule_index,
-                  const std::vector<size_t>& order, EvalContext* ctx);
 
   Status JoinFrom(const Rule& rule, uint32_t rule_index,
                   const std::vector<size_t>& order, size_t step,
@@ -184,19 +145,11 @@ class BottomUpEvaluator {
                                  const std::vector<size_t>& order,
                                  int delta_index, size_t step) const;
 
-  /// Appends the round's work items for `rule` (sharded when a pool is
-  /// available and the scanned relation is large enough).
-  void AppendWorkItems(uint32_t rule_index,
-                       const std::vector<size_t>& order, bool initial,
-                       std::vector<WorkItem>* items) const;
-
-  /// Runs one evaluation round: every item with a private context,
-  /// parallel-safe rules on the pool, the rest inline, then a
-  /// deterministic in-order merge into `*fresh` and the stats.
+  /// Runs one evaluation round over every rule in rule order — against
+  /// full relations, or once per derived body occurrence reading the
+  /// delta there — appending derivations to `*fresh`.
   Status RunRound(const std::vector<std::vector<size_t>>& plans,
-                  const std::vector<bool>& parallel_safe,
-                  const std::vector<WorkItem>& items,
-                  std::vector<Derivation>* fresh);
+                  bool use_delta, std::vector<Derivation>* fresh);
 
   void AppendExplanation(PredicateId pred, const Tuple& tuple,
                          const std::string& indent, bool last,
@@ -216,24 +169,18 @@ class BottomUpEvaluator {
   BottomUpStats stats_;
   /// Joins `lit` against `rel` under `*subst`, probing the most
   /// selective ground column's index (when indexing is enabled) and
-  /// calling `try_tuple` for each candidate whose dense id lies in
-  /// [range_begin, range_end).
+  /// calling `try_tuple` for each candidate in dense-id order.
   template <typename Fn>
   Status ForEachCandidate(const Relation& rel, const Literal& lit,
-                          const Substitution& subst, uint32_t range_begin,
-                          uint32_t range_end, Fn try_tuple);
+                          const Substitution& subst, Fn try_tuple);
 
   std::vector<Relation> full_;
   std::vector<Relation> delta_;
   /// EDB facts, materialised as relations so that joins can probe them.
   std::vector<Relation> facts_rel_;
-  /// Join trail of the in-flight rule application (provenance only;
-  /// provenance mode is always serial).
+  /// Join trail of the in-flight rule application (provenance only).
   std::vector<FactRef> trail_;
   std::unordered_map<FactRef, ProvenanceEntry, FactRefHash> provenance_;
-  /// Resolved worker count for this run (1 = no pool).
-  int jobs_ = 1;
-  std::unique_ptr<ThreadPool> pool_;
   bool ran_ = false;
 };
 

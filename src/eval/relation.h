@@ -76,8 +76,7 @@ struct TupleHash {
 /// Storage is a contiguous arena (`std::vector<TermId>` slabs) plus an
 /// open-addressing hash table keyed by arena offset, so inserting and
 /// probing never allocate per tuple. Tuples get dense ids `0..size()`
-/// in insertion order; `At(id)` views one in O(1), which also gives
-/// the evaluator an exact way to shard a relation across threads.
+/// in insertion order; `At(id)` views one in O(1).
 ///
 /// Terms are hash-consed, so tuple equality is element-wise id
 /// equality and a column index keys directly on `TermId` — this covers

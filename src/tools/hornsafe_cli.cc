@@ -62,9 +62,6 @@ namespace {
 /// Global evaluation flags, pre-parsed (and stripped) before command
 /// dispatch.
 struct CliFlags {
-  /// Worker threads for bottom-up evaluation (1 = serial, 0 = one per
-  /// hardware thread).
-  int jobs = 1;
   /// Print fixpoint statistics after each evaluated query.
   bool stats = false;
   /// check: emit analysis counters, per-stage wall clocks, and cache
@@ -137,8 +134,6 @@ int Usage() {
                "  cache-compact                size/age-bounded GC pass over "
                "--cache-dir (single-writer, crash-resumable)\n"
                "flags (check/run/repl/explain):\n"
-               "  --jobs N                     analyze/evaluate with N "
-               "worker threads (default 1; 0 = all hardware threads)\n"
                "  --stats                      print analysis counters "
                "(check) or fixpoint statistics per query (run/repl)\n"
                "  --stats-json                 check: one JSON object with "
@@ -316,7 +311,6 @@ int CmdCheck(const char* path) {
     cache = std::make_unique<PipelineCache>(copts);
   }
   AnalyzerOptions aopts;
-  aopts.jobs = g_flags.jobs;
   aopts.cache = cache.get();
   auto analyzer = SafetyAnalyzer::Create(*parsed, aopts);
   if (!analyzer.ok()) {
@@ -365,24 +359,16 @@ int CmdCheck(const char* path) {
   return all_safe ? 0 : 2;
 }
 
-EngineOptions MakeEngineOptions() {
-  EngineOptions options;
-  options.bottom_up.jobs = g_flags.jobs;
-  return options;
-}
-
 void PrintEvalStats(const BottomUpStats& stats) {
   if (stats.iterations == 0) return;  // top-down: nothing to report
   double total = 0;
   for (double s : stats.round_seconds) total += s;
   std::printf(
       "  stats: %llu iteration(s), %llu tuple(s), %llu firing(s), "
-      "%.3f ms, %llu parallel / %llu serial task(s)\n",
+      "%.3f ms\n",
       static_cast<unsigned long long>(stats.iterations),
       static_cast<unsigned long long>(stats.tuples_derived),
-      static_cast<unsigned long long>(stats.rule_firings), total * 1e3,
-      static_cast<unsigned long long>(stats.parallel_tasks),
-      static_cast<unsigned long long>(stats.serial_tasks));
+      static_cast<unsigned long long>(stats.rule_firings), total * 1e3);
   for (size_t i = 0; i < stats.round_seconds.size(); ++i) {
     std::printf("    round %zu: %.3f ms\n", i,
                 stats.round_seconds[i] * 1e3);
@@ -396,8 +382,7 @@ int CmdRun(const char* path) {
     return 1;
   }
   std::vector<Literal> queries = parsed->queries();
-  auto engine = Engine::Create(std::move(parsed).value(),
-                               MakeEngineOptions());
+  auto engine = Engine::Create(std::move(parsed).value());
   if (!engine.ok()) {
     std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
     return 1;
@@ -555,8 +540,7 @@ int CmdExplain(const char* path, const char* literal_text) {
     return 1;
   }
   BottomUpOptions opts;
-  opts.track_provenance = true;  // forces serial evaluation
-  opts.jobs = g_flags.jobs;
+  opts.track_provenance = true;
   BottomUpEvaluator eval(&program, &registry, opts);
   if (Status st = eval.Run(); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -591,8 +575,7 @@ int CmdRepl(const char* path) {
     std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
     return 1;
   }
-  auto engine = Engine::Create(std::move(parsed).value(),
-                               MakeEngineOptions());
+  auto engine = Engine::Create(std::move(parsed).value());
   if (!engine.ok()) {
     std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
     return 1;
@@ -639,7 +622,6 @@ int CmdServe(const char* path) {
     cache = std::make_unique<PipelineCache>(copts);
   }
   ServerOptions sopts;
-  sopts.analyzer.jobs = g_flags.jobs;
   sopts.cache = cache.get();
   sopts.default_deadline_ms = static_cast<uint64_t>(g_flags.deadline_ms);
   sopts.max_queue = static_cast<size_t>(g_flags.max_queue);
@@ -730,7 +712,6 @@ int CmdFleet(const char* dir) {
   options.corpus_dir = dir;
   options.cache_dir = g_flags.cache_dir;
   options.procs = static_cast<int>(g_flags.procs);
-  options.jobs = g_flags.jobs;
   options.fault_spec = g_flags.faults;
   options.compact_after = g_flags.compact;
   options.compact_bounds.max_bytes =
@@ -757,7 +738,7 @@ int CmdFleetWorker() {
   // Same loader as `check`: referenced standard builtins registered so
   // fleet verdicts agree with per-program `hornsafe check` runs.
   return FleetWorkerMain(
-      g_flags.shard_file, g_flags.out_file, g_flags.cache_dir, g_flags.jobs,
+      g_flags.shard_file, g_flags.out_file, g_flags.cache_dir,
       [](const std::string& path) { return Load(path.c_str()); });
 }
 
@@ -800,8 +781,8 @@ int CmdCacheCompact() {
   return 0;
 }
 
-/// Consumes `--jobs N` / `--jobs=N` / `--stats` anywhere on the command
-/// line, compacting argv in place. Returns false on a malformed flag.
+/// Consumes every known flag anywhere on the command line, compacting
+/// argv in place. Returns false on a malformed or unknown flag.
 bool ParseFlags(int* argc, char** argv) {
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
@@ -902,7 +883,6 @@ bool ParseFlags(int* argc, char** argv) {
       long min, max;
     };
     const NumFlag kNumFlags[] = {
-        {"--jobs", nullptr, 0, 4096},
         {"--deadline-ms", &g_flags.deadline_ms, 0, 86'400'000},
         {"--max-queue", &g_flags.max_queue, 1, 1 << 20},
         {"--workers", &g_flags.workers, 0, 4096},
@@ -931,15 +911,15 @@ bool ParseFlags(int* argc, char** argv) {
         std::fprintf(stderr, "invalid %s value '%s'\n", f.name, value);
         return false;
       }
-      if (f.target != nullptr) {
-        *f.target = v;
-      } else {
-        g_flags.jobs = static_cast<int>(v);
-      }
+      *f.target = v;
       consumed = true;
       break;
     }
     if (consumed) continue;
+    if (std::strncmp(arg, "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag '%s'\n", arg);
+      return false;
+    }
     argv[out++] = argv[i];
   }
   *argc = out;

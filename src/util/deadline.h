@@ -18,8 +18,8 @@ namespace hornsafe {
 /// subset condition is sufficient, not necessary, so "don't know" is
 /// always an admissible answer), and an evaluator aborts with
 /// `StatusCode::kDeadlineExceeded`. Expiry observed mid-search depends
-/// on scheduling; only an already-expired deadline yields bit-identical
-/// results across job counts (see DESIGN.md, D13).
+/// on timing; only an already-expired deadline yields bit-identical
+/// results on every run (see DESIGN.md, D13).
 class Deadline {
  public:
   using Clock = std::chrono::steady_clock;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "parser/parser.h"
+#include "util/strings.h"
 
 namespace hornsafe {
 namespace {
@@ -196,6 +199,57 @@ TEST(BottomUpTest, MutualRecursion) {
   EXPECT_TRUE(eval.RelationFor(even).Contains({s->program.Int(4)}));
   EXPECT_TRUE(eval.RelationFor(odd).Contains({s->program.Int(3)}));
   EXPECT_FALSE(eval.RelationFor(even).Contains({s->program.Int(3)}));
+}
+
+TEST(BottomUpTest, LargeTransitiveClosureOnACycle) {
+  // A 120-node cycle: every node reaches every node, one new path
+  // length per iteration, and one round timing per iteration plus the
+  // initial round.
+  constexpr int kNodes = 120;
+  std::string text;
+  for (int i = 0; i < kNodes; ++i) {
+    text += StrCat("edge(", i, ",", (i + 1) % kNodes, ").\n");
+  }
+  text +=
+      "path(X,Y) :- edge(X,Y).\n"
+      "path(X,Y) :- path(X,Z), edge(Z,Y).\n";
+  auto s = Make(text.c_str());
+  BottomUpEvaluator eval(&s->program, &s->registry);
+  ASSERT_TRUE(eval.Run().ok());
+  PredicateId path = s->program.FindPredicate("path", 2);
+  const Relation& rel = eval.RelationFor(path);
+  EXPECT_EQ(rel.size(), static_cast<size_t>(kNodes * kNodes));
+  for (int i = 0; i < kNodes; i += 17) {
+    EXPECT_TRUE(rel.Contains({s->program.Int(i), s->program.Int(i)}));
+    EXPECT_TRUE(rel.Contains(
+        {s->program.Int(i), s->program.Int((i + kNodes - 1) % kNodes)}));
+  }
+  EXPECT_EQ(eval.stats().tuples_derived,
+            static_cast<uint64_t>(kNodes * kNodes));
+  EXPECT_EQ(eval.stats().iterations, static_cast<uint64_t>(kNodes + 1));
+  EXPECT_EQ(eval.stats().round_seconds.size(),
+            eval.stats().iterations + 1);
+}
+
+TEST(BottomUpTest, WideRulePlansAndEvaluates) {
+  // Regression for the O(n^2) PlanRule variable scan: a 33-literal
+  // chain join must plan quickly and produce exactly one derivation.
+  constexpr int kWidth = 33;
+  std::string text;
+  std::string body;
+  for (int i = 0; i < kWidth; ++i) {
+    text += StrCat("b", i, "(", i, ",", i + 1, ").\n");
+    body += StrCat(i > 0 ? ", " : "", "b", i, "(X", i, ",X", i + 1, ")");
+  }
+  text += StrCat("r(X0,X", kWidth, ") :- ", body, ".\n");
+  auto s = Make(text.c_str());
+  BottomUpEvaluator eval(&s->program, &s->registry);
+  ASSERT_TRUE(eval.Run().ok());
+  PredicateId r = s->program.FindPredicate("r", 2);
+  ASSERT_NE(r, kInvalidPredicate);
+  EXPECT_EQ(eval.RelationFor(r).size(), 1u);
+  EXPECT_TRUE(eval.RelationFor(r).Contains(
+      {s->program.Int(0), s->program.Int(kWidth)}));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/counter_table.h"
@@ -361,6 +362,24 @@ TEST(CliTest, CacheDirFlagRequiresValue) {
   EXPECT_NE(r.output.find("--cache-dir requires a directory"),
             std::string::npos)
       << r.output;
+}
+
+TEST(CliTest, UnknownFlagsAreRejected) {
+  // Either side of the file, and the removed --jobs like any other.
+  const std::string file = ProgramPath("ancestor.hs");
+  const std::pair<std::string, std::string> kCases[] = {
+      {StrCat("check ", file, " --bogus"), "--bogus"},
+      {StrCat("check --bogus ", file), "--bogus"},
+      {StrCat("run ", file, " --jobs 4"), "--jobs"},
+  };
+  for (const auto& [args, flag] : kCases) {
+    CliResult r = RunCli(args);
+    EXPECT_EQ(r.exit_code, 1) << args;
+    EXPECT_NE(r.output.find(StrCat("unknown flag '", flag, "'")),
+              std::string::npos)
+        << args << "\n" << r.output;
+    EXPECT_EQ(r.output.find("safety:"), std::string::npos) << r.output;
+  }
 }
 
 TEST(CliTest, LintCleanProgramSaysClean) {
